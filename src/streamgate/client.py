@@ -7,6 +7,7 @@ framing on the receive side. QoS 0 only, like everything else here.
 
 from __future__ import annotations
 
+import logging
 import socket
 from collections import deque
 from typing import Optional
@@ -14,6 +15,8 @@ from typing import Optional
 from . import mqtt
 
 __all__ = ["ClientError", "MqttConnection"]
+
+log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
 
@@ -101,7 +104,8 @@ class MqttConnection:
         self._send(mqtt.Pingreq())
 
     def recv_packet(self, timeout: Optional[float] = None):
-        """Return the next packet, or None once the peer has closed.
+        """Return the next packet, or None once the peer has closed or
+        sent bytes that are not a valid packet.
 
         Raises TimeoutError if nothing arrives within ``timeout``.
         """
@@ -148,6 +152,12 @@ class MqttConnection:
                 return packet
             except mqtt.NeedMoreDataError:
                 pass
+            except mqtt.MalformedPacketError as exc:
+                # Nothing after bad framing can be trusted: end the session
+                # as if the peer had closed it.
+                log.warning("malformed packet from broker, closing: %s", exc)
+                self.close()
+                return None
             try:
                 chunk = self._sock.recv(_RECV_CHUNK)
             except socket.timeout:

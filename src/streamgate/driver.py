@@ -22,7 +22,6 @@ from .enclave import (
     RESULT_OFFSET,
     AuthEnclave,
     BusError,
-    DeviceBusyError,
     key_bytes_to_words,
 )
 
@@ -99,8 +98,6 @@ def authenticate(enclave: AuthEnclave, candidate) -> AuthVerdict:
             enclave.step(1)
             cycles += 1
         result = enclave.read_word(RESULT_OFFSET)
-    except DeviceBusyError:
-        raise
     except BusError as exc:
         raise DriverFault(f"bus fault during transaction: {exc}") from exc
     return AuthVerdict(

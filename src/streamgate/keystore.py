@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .driver import SUITE_LABELS
 from .enclave import KEY_BYTES
 
 __all__ = [
@@ -57,14 +58,7 @@ class CandidateKey:
             raise CredentialsError(
                 f"candidate key longer than {KEY_BYTES} bytes: {len(self.bytes)}"
             )
-        if self.source_label not in (
-            "correct",
-            "invalid",
-            "incomplete",
-            "empty",
-            "wrong",
-            "unlabeled",
-        ):
+        if self.source_label not in SUITE_LABELS + ("unlabeled",):
             raise CredentialsError(f"unknown source label: {self.source_label!r}")
 
 

@@ -88,7 +88,7 @@ class ThrottleStats:
     target_fps: float
     measured_fps: float
     frames_sent: int
-    window_duration: float
+    window_duration: float  # first send to last send
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def publish_stream(
 
     frames_sent = 0
     start = time.monotonic()
-    last_send = start
+    first_send = last_send = start
     deadline = None if duration_s is None else start + duration_s
     try:
         while True:
@@ -327,13 +327,15 @@ def publish_stream(
             if due > now:
                 time.sleep(due - now)
             conn.publish(config.mqtt_topic, payload.encode("ascii"))
-            frames_sent += 1
             last_send = time.monotonic()
+            if not frames_sent:
+                first_send = last_send
+            frames_sent += 1
     except KeyboardInterrupt:
         # Treat like a deadline: stop pacing, flush partial stats.
         log.info("stream interrupted after %d frames", frames_sent)
     except ClientError as exc:
-        stats = _finish_stats(fps, frames_sent, start, last_send)
+        stats = _finish_stats(fps, frames_sent, first_send, last_send)
         raise StreamAborted(f"stream aborted after {frames_sent} frames: {exc}", stats) from exc
     finally:
         stop.set()
@@ -341,7 +343,7 @@ def publish_stream(
         producer.join(timeout=2.0)
         conn.disconnect()
 
-    stats = _finish_stats(fps, frames_sent, start, last_send)
+    stats = _finish_stats(fps, frames_sent, first_send, last_send)
     if "error" in fault:
         raise StreamAborted(
             f"frame source failed after {frames_sent} frames: {fault['error']}", stats
@@ -356,10 +358,11 @@ def publish_stream(
 
 
 def _finish_stats(
-    fps: float, frames_sent: int, start: float, last_send: float
+    fps: float, frames_sent: int, first_send: float, last_send: float
 ) -> ThrottleStats:
-    window = last_send - start
-    measured = frames_sent / window if window > 0 else 0.0
+    # n sends span n - 1 frame intervals, as in measure_fps.
+    window = last_send - first_send
+    measured = (frames_sent - 1) / window if window > 0 else 0.0
     return ThrottleStats(
         target_fps=fps,
         measured_fps=measured,

@@ -1,9 +1,12 @@
 """Embedded broker behavior: sessions, routing, liveness."""
 
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamgate import mqtt
 from streamgate.broker import Broker, SubscriptionTable
@@ -353,3 +356,79 @@ def test_external_interface_defaults():
     broker = Broker()
     assert broker.host == "127.0.0.1"
     assert broker._requested_port == 1883
+
+
+# -- superseded sessions ------------------------------------------------------------
+
+
+def test_reconnect_with_same_id_loses_no_frames(broker):
+    # Each gateway session is superseded while its frames may still sit
+    # unread in the broker's socket; they must be routed, not dropped.
+    rounds, per_round, size = 40, 3, 86_412
+    sub = connect(broker, "sub")
+    sub.subscribe("cam/#")
+    topics = []
+
+    def collect():
+        while len(topics) < rounds * per_round:
+            try:
+                packet = sub.recv_packet(timeout=5.0)
+            except TimeoutError:
+                return
+            if packet is None:
+                return
+            if isinstance(packet, mqtt.Publish):
+                topics.append(packet.topic)
+
+    collector = threading.Thread(target=collect, daemon=True)
+    collector.start()
+    payload = bytes(size)
+    for round_ in range(rounds):
+        gateway = connect(broker, "gateway")
+        for _ in range(per_round):
+            gateway.publish(f"cam/{round_}", payload)
+        gateway.disconnect()
+    collector.join(timeout=30.0)
+    assert len(topics) == rounds * per_round
+    assert topics == [f"cam/{r}" for r in range(rounds) for _ in range(per_round)]
+    sub.disconnect()
+
+
+# -- robustness --------------------------------------------------------------------
+
+_JUNK = st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from([b"", b"\x10", b"\x30", b"\x31", b"\x82", b"\xc0\x00", b"\xe0"]),
+    st.binary(max_size=256),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(junk=_JUNK)
+def test_random_bytes_close_only_the_offending_session(junk):
+    with Broker("127.0.0.1", 0) as broker:
+        sub = connect(broker, "sub")
+        sub.subscribe("t")
+        sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+        sock.sendall(mqtt.encode_packet(mqtt.Connect(client_id="fuzz")) + junk)
+        sock.shutdown(socket.SHUT_WR)
+        # The broker has handled the junk once it closes this session,
+        # for the junk's sake or at the end of input.
+        try:
+            while sock.recv(4096):
+                pass
+        except ConnectionResetError:  # closed with junk still unread
+            pass
+        sock.close()
+
+        pub = connect(broker, "pub")
+        pub.publish("t", b"after")
+        # The junk itself may have been a valid publish to "t".
+        while True:
+            packet = sub.recv_packet(timeout=2.0)
+            assert packet is not None, "subscriber session was closed"
+            if isinstance(packet, mqtt.Publish) and packet.payload == b"after":
+                break
+        connect(broker, "late").disconnect()
+        pub.disconnect()
+        sub.disconnect()

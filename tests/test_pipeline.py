@@ -291,9 +291,24 @@ def test_pacing_hits_target_rate():
         stats = result.stats
         assert stats.frames_sent == 40
         assert stats.measured_fps == pytest.approx(
-            stats.frames_sent / stats.window_duration
+            (stats.frames_sent - 1) / stats.window_duration
         )
         assert 36.0 <= stats.measured_fps <= 44.0
+
+
+def test_measured_rate_counts_intervals_not_frames():
+    # Three frames paced at 2 fps are two half-second intervals apart.
+    with Broker("127.0.0.1", 0) as broker:
+        config = small_config(broker, fps=2.0)
+        result = publish_stream(
+            config,
+            provision(SECRET),
+            SECRET,
+            max_frames=3,
+            source=SyntheticFrameSource(64, 64, frame_bytes=64),
+        )
+    assert result.stats.frames_sent == 3
+    assert result.stats.measured_fps == pytest.approx(2.0, rel=0.05)
 
 
 def test_duration_bound_stops_stream():

@@ -1,11 +1,13 @@
 """Delivery collection, fault isolation, and disk sink behavior."""
 
 import hashlib
+import socket
 import threading
 import time
 
 import pytest
 
+from streamgate import mqtt
 from streamgate.broker import Broker
 from streamgate.client import MqttConnection
 from streamgate.pipeline import SyntheticFrameSource, encode_payload
@@ -172,3 +174,49 @@ def test_non_publish_packets_ignored():
         pub.disconnect()
         thread.join(timeout=8.0)
     assert box["report"].frames_received == 1
+
+
+def test_malformed_packet_ends_collection_with_partial_report():
+    source = SyntheticFrameSource(64, 64, frame_bytes=64)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve_one():
+        # CONNACK, SUBACK, one valid frame, then a packet of reserved type 0.
+        conn, _ = listener.accept()
+        with conn:
+            buffer = bytearray()
+
+            def await_packet():
+                while True:
+                    try:
+                        _packet, consumed = mqtt.decode_packet(buffer)
+                        del buffer[:consumed]
+                        return
+                    except mqtt.NeedMoreDataError:
+                        buffer.extend(conn.recv(4096))
+
+            await_packet()  # CONNECT
+            conn.sendall(mqtt.encode_packet(mqtt.Connack()))
+            await_packet()  # SUBSCRIBE
+            payload = encode_payload(source.frame_at(0)).encode("ascii")
+            conn.sendall(
+                mqtt.encode_packet(mqtt.Suback(packet_id=1, granted=(0,)))
+                + mqtt.encode_packet(mqtt.Publish(topic=TOPIC, payload=payload))
+                + b"\x00\x00"
+            )
+            conn.settimeout(5.0)
+            while conn.recv(4096):  # until the client hangs up
+                pass
+
+    server = threading.Thread(target=serve_one, daemon=True)
+    server.start()
+    try:
+        report = subscribe_and_collect(
+            "127.0.0.1", port, TOPIC, max_frames=5, duration_s=5.0
+        )
+    finally:
+        server.join(timeout=5.0)
+        listener.close()
+    assert report.frames_received == 1
+    assert report.content_hashes == [hashlib.sha256(source.frame_at(0).bytes).hexdigest()]
