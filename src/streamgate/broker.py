@@ -143,6 +143,11 @@ class Broker:
         # trim the loop thread's heap after each frame and fault it back
         # in on the next (about 48 page faults per 86 KB frame).
         self._last_publish: Optional[mqtt.Publish] = None
+        # Every session is read into this one buffer, so recv() allocates
+        # nothing. With a fresh 64 KiB bytes per recv(), glibc trimmed the
+        # heap in about a quarter of runs (7 to 23 page faults per frame).
+        self._recv_buf = bytearray(_RECV_CHUNK)
+        self._recv_view = memoryview(self._recv_buf)
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._waker: Optional[socket.socket] = None
@@ -246,18 +251,18 @@ class Broker:
         Returns False once the socket has nothing more to give.
         """
         try:
-            chunk = session.sock.recv(_RECV_CHUNK)
+            received = session.sock.recv_into(self._recv_buf)
         except BlockingIOError:
             return False
         except OSError:
             self._close(session, "socket error")
             return False
-        if not chunk:
+        if not received:
             self._close(session, "peer closed")
             return False
         session.last_activity = time.monotonic()
         inbox = session.inbox
-        inbox += chunk
+        inbox += self._recv_view[:received]
         while not session.closed:
             try:
                 packet, consumed = mqtt.decode_packet(inbox)
