@@ -20,9 +20,10 @@ Register map (word-aligned offsets):
 Everything else is unmapped and raises :class:`BusError`. The key words
 are write-only: reading them is a bus error, one leg of the guarantee
 that no key material ever crosses the register boundary. The other leg
-is that the provisioned secret is captured in a closure at construction
-time and never stored on the instance, so no attribute walk, repr, or
-state dump can reach it.
+is that the provisioned secret is reduced at construction time to a
+salted SHA-256 digest held in the comparison closure; neither the
+secret's bytes nor its integer value are kept, so no attribute walk,
+closure walk, repr, or state dump can reach it.
 
 The comparison itself takes a fixed number of clock cycles, identical
 for every candidate (the loop is fully pipelined in the modeled core,
@@ -132,18 +133,31 @@ def key_bytes_to_words(data: bytes) -> list[int]:
 
 
 def _make_comparator(image: bytes, compare_bits: int) -> Callable[[list[int]], bool]:
-    # The secret lives only in this closure; the enclave instance never
-    # holds it, so vars(), repr(), pickling attempts, and state dumps
-    # cannot reach key material.
+    # Only a salted digest of the masked secret is kept: neither the
+    # secret's bytes nor its integer value stay reachable from the
+    # closure, so no attribute, closure-cell or referent walk finds them.
+    # The hash modules are imported here because a broker process
+    # imports this package without ever provisioning an enclave, and
+    # loading them (OpenSSL's libcrypto) adds about 10 ms to its start.
+    import hashlib
+    import hmac
+    import secrets
+
     mask = (1 << compare_bits) - 1
-    secret = int.from_bytes(image, "little") & mask
+    salt = secrets.token_bytes(32)
+
+    def digest(value: int) -> bytes:
+        return hashlib.sha256(salt + (value & mask).to_bytes(KEY_BYTES, "little")).digest()
+
+    expected = digest(int.from_bytes(image, "little"))
 
     def compare(words: list[int]) -> bool:
         candidate = 0
         for i, w in enumerate(words):
             candidate |= (w & WORD_MASK) << (32 * i)
-        # Single full-width XOR: no early exit on the first mismatching word.
-        return (candidate & mask) ^ secret == 0
+        # Full-width digest compared in constant time: no early exit on
+        # the first mismatching word.
+        return hmac.compare_digest(digest(candidate), expected)
 
     return compare
 
@@ -152,8 +166,9 @@ class AuthEnclave:
     """Register-level model of the authentication core.
 
     The constructor provisions the device: the 32-byte secret image is
-    folded into a comparison closure and discarded. After that, the only
-    observable outputs are the handshake bits and the single result bit.
+    folded into a salted digest inside a comparison closure and
+    discarded. After that, the only observable outputs are the
+    handshake bits and the single result bit.
 
     ``_compare_bits`` is a test hook that narrows the comparison to the
     low N bits of key word 0 (the production width is the full 256).

@@ -16,6 +16,7 @@ README so they can be written by hand on a device:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Optional
 
 from .driver import SUITE_LABELS
@@ -82,22 +83,6 @@ class GatewayConfig:
     enclave_pipelined: bool = True
 
 
-# Dotted config key -> GatewayConfig attribute.
-_CONFIG_KEYS = {
-    "camera.source": "camera_source",
-    "camera.width": "camera_width",
-    "camera.height": "camera_height",
-    "camera.fps": "camera_fps",
-    "mqtt.host": "mqtt_host",
-    "mqtt.port": "mqtt_port",
-    "mqtt.topic": "mqtt_topic",
-    "mqtt.client_id": "mqtt_client_id",
-    "credentials.path": "credentials_path",
-    "enclave.pipelined": "enclave_pipelined",
-}
-_ATTR_TO_KEY = {attr: key for key, attr in _CONFIG_KEYS.items()}
-
-
 def _parse_int(raw: str, lineno: int, key: str, lo: int, hi: int) -> int:
     try:
         value = int(raw, 10)
@@ -108,13 +93,13 @@ def _parse_int(raw: str, lineno: int, key: str, lo: int, hi: int) -> int:
     return value
 
 
-def _parse_fps(raw: str, lineno: int) -> float:
+def _parse_fps(raw: str, lineno: int, key: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: camera.fps must be a number, got {raw!r}") from None
+        raise ConfigError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
     if not value > 0:
-        raise ConfigError(f"line {lineno}: camera.fps must be positive, got {value}")
+        raise ConfigError(f"line {lineno}: {key} must be positive, got {value}")
     return value
 
 
@@ -125,14 +110,33 @@ def _parse_bool(raw: str, lineno: int, key: str) -> bool:
     raise ConfigError(f"line {lineno}: {key} must be true or false, got {raw!r}")
 
 
-def _check_topic(topic: str, lineno: int) -> str:
-    if not topic:
-        raise ConfigError(f"line {lineno}: mqtt.topic must not be empty")
+def _nonempty(raw: str, lineno: int, key: str) -> str:
+    if not raw:
+        raise ConfigError(f"line {lineno}: {key} must not be empty")
+    return raw
+
+
+def _check_topic(raw: str, lineno: int, key: str) -> str:
+    topic = _nonempty(raw, lineno, key)
     if "+" in topic or "#" in topic:
-        raise ConfigError(
-            f"line {lineno}: mqtt.topic must not contain wildcards, got {topic!r}"
-        )
+        raise ConfigError(f"line {lineno}: {key} must not contain wildcards, got {topic!r}")
     return topic
+
+
+# Dotted config key -> (GatewayConfig attribute, parser(raw, lineno, key)).
+_CONFIG_KEYS = {
+    "camera.source": ("camera_source", _nonempty),
+    "camera.width": ("camera_width", partial(_parse_int, lo=1, hi=1 << 16)),
+    "camera.height": ("camera_height", partial(_parse_int, lo=1, hi=1 << 16)),
+    "camera.fps": ("camera_fps", _parse_fps),
+    "mqtt.host": ("mqtt_host", _nonempty),
+    "mqtt.port": ("mqtt_port", partial(_parse_int, lo=1, hi=65535)),
+    "mqtt.topic": ("mqtt_topic", _check_topic),
+    "mqtt.client_id": ("mqtt_client_id", _nonempty),
+    "credentials.path": ("credentials_path", _nonempty),
+    "enclave.pipelined": ("enclave_pipelined", _parse_bool),
+}
+_ATTR_TO_KEY = {attr: key for key, (attr, _) in _CONFIG_KEYS.items()}
 
 
 def parse_config(text: str) -> GatewayConfig:
@@ -147,41 +151,13 @@ def parse_config(text: str) -> GatewayConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        value = raw_value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-
-        if key == "camera.width":
-            config.camera_width = _parse_int(value, lineno, key, 1, 1 << 16)
-        elif key == "camera.height":
-            config.camera_height = _parse_int(value, lineno, key, 1, 1 << 16)
-        elif key == "camera.fps":
-            config.camera_fps = _parse_fps(value, lineno)
-        elif key == "mqtt.port":
-            config.mqtt_port = _parse_int(value, lineno, key, 1, 65535)
-        elif key == "mqtt.topic":
-            config.mqtt_topic = _check_topic(value, lineno)
-        elif key == "enclave.pipelined":
-            config.enclave_pipelined = _parse_bool(value, lineno, key)
-        elif key == "mqtt.client_id":
-            if not value:
-                raise ConfigError(f"line {lineno}: mqtt.client_id must not be empty")
-            config.mqtt_client_id = value
-        elif key == "camera.source":
-            if not value:
-                raise ConfigError(f"line {lineno}: camera.source must not be empty")
-            config.camera_source = value
-        elif key == "mqtt.host":
-            if not value:
-                raise ConfigError(f"line {lineno}: mqtt.host must not be empty")
-            config.mqtt_host = value
-        elif key == "credentials.path":
-            if not value:
-                raise ConfigError(f"line {lineno}: credentials.path must not be empty")
-            config.credentials_path = value
+        attr, parse = _CONFIG_KEYS[key]
+        setattr(config, attr, parse(raw_value.strip(), lineno, key))
     return config
 
 

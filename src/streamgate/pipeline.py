@@ -12,19 +12,18 @@ scales with the configured resolution at roughly the footprint of a
 compressed high-definition frame (about 63 KiB at 1920x1080) rather
 than raw pixel data.
 
-Pacing uses an absolute schedule: frame ``i`` is sent no earlier than
-``start + i / fps``. Sleeping a fixed interval between frames would
-accumulate drift; an absolute schedule keeps long runs inside a tight
-tolerance of the target rate.
+Pacing uses an absolute schedule: the ``i``-th frame of a stream is
+sent no earlier than ``start + i / fps``, counted from that stream's
+start whatever index the source has reached. Sleeping a fixed interval
+between frames would accumulate drift; an absolute schedule keeps long
+runs inside a tight tolerance of the target rate.
 """
 
 from __future__ import annotations
 
 import base64
 import logging
-import queue
 import random
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,33 +231,6 @@ def measure_fps(timestamps) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _acquire_loop(
-    source: FrameSource,
-    handoff: "queue.Queue",
-    count: Optional[int],
-    stop: threading.Event,
-    fault: dict,
-) -> None:
-    try:
-        produced = 0
-        while not stop.is_set() and (count is None or produced < count):
-            frame = source.next_frame()
-            payload = encode_payload(frame)
-            while not stop.is_set():
-                try:
-                    handoff.put((frame.index, payload), timeout=0.1)
-                    break
-                except queue.Full:
-                    continue
-            produced += 1
-    except Exception as exc:
-        fault["error"] = exc
-    finally:
-        # Sentinel must arrive even if the source fails mid-stream,
-        # or the sender would wait forever.
-        handoff.put(None)
-
-
 def publish_stream(
     config: GatewayConfig,
     enclave: AuthEnclave,
@@ -274,7 +246,9 @@ def publish_stream(
     trips first ends the stream). On a refused key the result carries
     ``stats=None`` and no connection attempt is made. A broker that
     is unreachable raises :class:`ClientError`; a connection lost
-    mid-stream raises :class:`StreamAborted` with partial stats.
+    mid-stream or a failing frame source raises :class:`StreamAborted`
+    with partial stats. Frames are acquired, encoded, paced and sent
+    one at a time on the caller's thread.
     """
     if max_frames is None and duration_s is None:
         raise ValueError("need a frame-count or duration bound")
@@ -291,36 +265,25 @@ def publish_stream(
         source = source_from_config(config)
     fps = config.camera_fps
 
-    # Acquisition and encoding overlap transmission through a bounded
-    # hand-off; wire order is acquisition order because the hand-off is
-    # a FIFO drained by a single sender.
-    handoff: "queue.Queue" = queue.Queue(maxsize=2)
-    stop = threading.Event()
-    fault: dict = {}
-    producer = threading.Thread(
-        target=_acquire_loop,
-        args=(source, handoff, max_frames, stop, fault),
-        name="frame-producer",
-        daemon=True,
-    )
-
     conn = MqttConnection(
         config.mqtt_host, config.mqtt_port, config.mqtt_client_id, keep_alive_s=0
     )
     conn.connect()
-    producer.start()
 
     frames_sent = 0
     start = time.monotonic()
     first_send = last_send = start
     deadline = None if duration_s is None else start + duration_s
     try:
-        while True:
-            item = handoff.get()
-            if item is None:
-                break
-            index, payload = item
-            due = start + index / fps
+        while max_frames is None or frames_sent < max_frames:
+            try:
+                payload = encode_payload(source.next_frame())
+            except Exception as exc:
+                stats = _finish_stats(fps, frames_sent, first_send, last_send)
+                raise StreamAborted(
+                    f"frame source failed after {frames_sent} frames: {exc}", stats
+                ) from exc
+            due = start + frames_sent / fps
             now = time.monotonic()
             if deadline is not None and max(due, now) >= deadline:
                 break
@@ -338,16 +301,9 @@ def publish_stream(
         stats = _finish_stats(fps, frames_sent, first_send, last_send)
         raise StreamAborted(f"stream aborted after {frames_sent} frames: {exc}", stats) from exc
     finally:
-        stop.set()
-        _drain(handoff)
-        producer.join(timeout=2.0)
         conn.disconnect()
 
     stats = _finish_stats(fps, frames_sent, first_send, last_send)
-    if "error" in fault:
-        raise StreamAborted(
-            f"frame source failed after {frames_sent} frames: {fault['error']}", stats
-        ) from fault["error"]
     log.info(
         "stream complete: %d frames at %.2f fps (target %.2f)",
         stats.frames_sent,
@@ -370,10 +326,3 @@ def _finish_stats(
         window_duration=window,
     )
 
-
-def _drain(handoff: "queue.Queue") -> None:
-    while True:
-        try:
-            handoff.get_nowait()
-        except queue.Empty:
-            return

@@ -1,6 +1,8 @@
 """Register-level tests of the authentication enclave."""
 
+import gc
 import random
+import types
 
 import pytest
 
@@ -354,3 +356,40 @@ def test_instance_dict_holds_no_secret():
         "done",
         "elapsed_ns",
     }
+
+
+def reachable_objects(*roots):
+    """Objects reachable from ``roots`` through referents, closure cells
+    and instance dicts; module globals, modules and classes are not
+    followed, since from there everything in the interpreter is."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        refs = list(gc.get_referents(obj))
+        if isinstance(obj, types.FunctionType):
+            refs += [cell.cell_contents for cell in obj.__closure__ or ()]
+            skip = {id(obj.__globals__), id(obj.__builtins__)}
+            refs = [r for r in refs if id(r) not in skip]
+        if hasattr(obj, "__dict__"):
+            refs.append(vars(obj))
+        stack.extend(refs)
+    return found
+
+
+def test_secret_unreachable_from_enclave_object_graph():
+    secret = random.Random(0x5EC).randbytes(32)
+    enclave = provision(secret)
+    assert run_transaction(enclave, secret) == 1
+    value = int.from_bytes(secret, "little")
+    objects = reachable_objects(enclave, enclave._compare)
+    assert any(isinstance(o, types.CellType) for o in objects)  # closures were walked
+    for obj in objects:
+        if isinstance(obj, int):
+            assert obj != value
+        elif isinstance(obj, (bytes, bytearray)):
+            for i in range(len(secret) - 7):
+                assert secret[i : i + 8] not in obj

@@ -394,3 +394,82 @@ def test_mid_stream_disconnect_aborts_with_partial_stats():
     worker.join(timeout=10.0)
     assert outcome["result"] == "aborted"
     assert outcome["stats"].frames_sent >= 1
+
+
+class RecordingSource(SyntheticFrameSource):
+    """Synthetic source that notes the acquiring thread and the threads alive."""
+
+    def __init__(self):
+        super().__init__(64, 64, frame_bytes=64)
+        self.calls = 0
+        self.threads = set()
+        self.thread_names = set()
+
+    def next_frame(self):
+        self.calls += 1
+        self.threads.add(threading.current_thread())
+        self.thread_names.update(t.name for t in threading.enumerate())
+        return super().next_frame()
+
+
+def test_frames_are_acquired_on_the_calling_thread():
+    source = RecordingSource()
+    with Broker("127.0.0.1", 0) as broker:
+        result = publish_stream(
+            small_config(broker, fps=200.0),
+            provision(SECRET),
+            SECRET,
+            max_frames=8,
+            source=source,
+        )
+    assert result.stats.frames_sent == 8
+    assert source.calls == 8
+    assert source.threads == {threading.current_thread()}
+    assert "frame-producer" not in source.thread_names
+
+
+def test_duration_bound_reads_at_most_one_frame_ahead():
+    source = RecordingSource()
+    with Broker("127.0.0.1", 0) as broker:
+        result = publish_stream(
+            small_config(broker, fps=20.0),
+            provision(SECRET),
+            SECRET,
+            duration_s=0.5,
+            source=source,
+        )
+    assert result.stats.frames_sent >= 1
+    assert source.calls - result.stats.frames_sent <= 1
+
+
+def test_reused_source_is_paced_from_the_new_stream_start():
+    # The second stream starts at the source index the first one left
+    # off at; its first frame is still due at its own start.
+    source = SyntheticFrameSource(64, 64, frame_bytes=64)
+    with Broker("127.0.0.1", 0) as broker:
+        config = small_config(broker, fps=20.0)
+        enclave = provision(SECRET)
+        sent = [
+            publish_stream(config, enclave, SECRET, duration_s=0.5, source=source).stats.frames_sent
+            for _ in range(2)
+        ]
+    assert min(sent) >= 5  # 10 frame slots fit in each stream
+
+
+def test_interrupt_returns_partial_stats():
+    class InterruptedSource(SyntheticFrameSource):
+        def next_frame(self):
+            if self._index == 4:
+                raise KeyboardInterrupt
+            return super().next_frame()
+
+    with Broker("127.0.0.1", 0) as broker:
+        result = publish_stream(
+            small_config(broker, fps=200.0),
+            provision(SECRET),
+            SECRET,
+            max_frames=10,
+            source=InterruptedSource(64, 64, frame_bytes=64),
+        )
+    assert result.authorized
+    assert result.stats.frames_sent == 4
