@@ -5,31 +5,10 @@ secret that never leaves the device boundary; a frame publisher gates
 an MQTT stream on the enclave's one-bit verdict. Includes the MQTT
 3.1.1 codec subset, an embedded QoS-0 broker, a headless subscriber,
 and a benchmark harness.
+
+Import the submodules directly (``from streamgate import broker``);
+the package itself loads none of them, so a process that runs only
+the broker never loads the enclave, driver or keystore.
 """
 
-from .driver import AuthVerdict, authenticate, run_attempt_suite
-from .enclave import AuthEnclave, LatencyModel, provision
-from .keystore import (
-    CandidateKey,
-    GatewayConfig,
-    parse_config,
-    parse_credentials,
-    parse_provisioning,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuthEnclave",
-    "AuthVerdict",
-    "CandidateKey",
-    "GatewayConfig",
-    "LatencyModel",
-    "authenticate",
-    "parse_config",
-    "parse_credentials",
-    "parse_provisioning",
-    "provision",
-    "run_attempt_suite",
-    "__version__",
-]

@@ -70,12 +70,18 @@ class SubscriptionTable:
     def add(self, topic_filter: str, session: "_Session") -> None:
         self._filters.setdefault(topic_filter, set()).add(session)
 
+    def remove(self, topic_filter: str, session: "_Session") -> None:
+        """Drop one subscription; a filter the session never had is a no-op."""
+        sessions = self._filters.get(topic_filter)
+        if sessions is None:
+            return
+        sessions.discard(session)
+        if not sessions:
+            del self._filters[topic_filter]
+
     def discard_session(self, session: "_Session") -> None:
         for topic_filter in list(self._filters):
-            sessions = self._filters[topic_filter]
-            sessions.discard(session)
-            if not sessions:
-                del self._filters[topic_filter]
+            self.remove(topic_filter, session)
 
     def sessions_for(self, topic: str) -> Set["_Session"]:
         """All sessions with at least one matching filter, deduplicated."""
@@ -303,6 +309,11 @@ class Broker:
                 granted.append(0x00)
             suback = mqtt.Suback(packet_id=packet.packet_id, granted=tuple(granted))
             self._enqueue(session, mqtt.encode_packet(suback))
+        elif isinstance(packet, mqtt.Unsubscribe):
+            for topic_filter in packet.filters:
+                self.table.remove(topic_filter, session)
+            unsuback = mqtt.Unsuback(packet_id=packet.packet_id)
+            self._enqueue(session, mqtt.encode_packet(unsuback))
         elif isinstance(packet, mqtt.Pingreq):
             self._enqueue(session, mqtt.encode_packet(mqtt.Pingresp()))
         elif isinstance(packet, mqtt.Disconnect):

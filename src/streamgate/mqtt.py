@@ -1,8 +1,9 @@
 """Bit-exact encoder/decoder for the MQTT 3.1.1 packet subset in use.
 
-Covers the connect/publish/subscribe/ping family at QoS 0, which is
-everything a frame publisher, a headless subscriber, and the embedded
-broker need, plus topic-filter matching with ``+`` and ``#`` wildcards.
+Covers the connect/publish/subscribe/unsubscribe/ping family at QoS
+0, which is everything a frame publisher, a headless subscriber, and
+the embedded broker need, plus topic-filter matching with ``+`` and
+``#`` wildcards.
 
 Decoding is incremental: :func:`decode_packet` raises
 :class:`NeedMoreDataError` when the buffer holds only part of a packet
@@ -37,6 +38,8 @@ __all__ = [
     "Publish",
     "Suback",
     "Subscribe",
+    "Unsuback",
+    "Unsubscribe",
     "MAX_REMAINING_LENGTH",
     "decode_packet",
     "decode_remaining_length",
@@ -77,6 +80,8 @@ class PacketType(IntEnum):
     PUBLISH = 3
     SUBSCRIBE = 8
     SUBACK = 9
+    UNSUBSCRIBE = 10
+    UNSUBACK = 11
     PINGREQ = 12
     PINGRESP = 13
     DISCONNECT = 14
@@ -126,6 +131,20 @@ class Suback:
 
 
 @dataclass(frozen=True)
+class Unsubscribe:
+    packet_id: int
+    filters: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "filters", tuple(self.filters))
+
+
+@dataclass(frozen=True)
+class Unsuback:
+    packet_id: int
+
+
+@dataclass(frozen=True)
 class Pingreq:
     pass
 
@@ -141,7 +160,16 @@ class Disconnect:
 
 
 MqttPacket = Union[
-    Connect, Connack, Publish, Subscribe, Suback, Pingreq, Pingresp, Disconnect
+    Connect,
+    Connack,
+    Publish,
+    Subscribe,
+    Suback,
+    Unsubscribe,
+    Unsuback,
+    Pingreq,
+    Pingresp,
+    Disconnect,
 ]
 
 
@@ -253,6 +281,12 @@ def _fixed_header(packet_type: PacketType, flags: int, body: bytes) -> bytes:
     return bytes([(packet_type << 4) | flags]) + encode_remaining_length(len(body)) + body
 
 
+def _encode_packet_id(packet_id: int) -> bytes:
+    if not 1 <= packet_id <= 0xFFFF:
+        raise EncodeError(f"packet id out of range: {packet_id}")
+    return packet_id.to_bytes(2, "big")
+
+
 def encode_packet(packet: MqttPacket) -> bytes:
     """Serialize a packet to its exact wire bytes."""
     if isinstance(packet, Connect):
@@ -283,11 +317,9 @@ def encode_packet(packet: MqttPacket) -> bytes:
         return _fixed_header(PacketType.PUBLISH, 0x01 if packet.retain else 0x00, body)
 
     if isinstance(packet, Subscribe):
-        if not 1 <= packet.packet_id <= 0xFFFF:
-            raise EncodeError(f"packet id out of range: {packet.packet_id}")
+        body = bytearray(_encode_packet_id(packet.packet_id))
         if not packet.filters:
             raise EncodeError("subscribe must carry at least one filter")
-        body = bytearray(packet.packet_id.to_bytes(2, "big"))
         for filter_, qos in packet.filters:
             try:
                 validate_filter(filter_)
@@ -300,15 +332,28 @@ def encode_packet(packet: MqttPacket) -> bytes:
         return _fixed_header(PacketType.SUBSCRIBE, 0x02, bytes(body))
 
     if isinstance(packet, Suback):
-        if not 1 <= packet.packet_id <= 0xFFFF:
-            raise EncodeError(f"packet id out of range: {packet.packet_id}")
+        body = _encode_packet_id(packet.packet_id)
         if not packet.granted:
             raise EncodeError("suback must carry at least one return code")
         for code in packet.granted:
             if code not in (0, 1, 2, 0x80):
                 raise EncodeError(f"bad suback return code: {code:#x}")
-        body = packet.packet_id.to_bytes(2, "big") + bytes(packet.granted)
-        return _fixed_header(PacketType.SUBACK, 0, body)
+        return _fixed_header(PacketType.SUBACK, 0, body + bytes(packet.granted))
+
+    if isinstance(packet, Unsubscribe):
+        body = bytearray(_encode_packet_id(packet.packet_id))
+        if not packet.filters:
+            raise EncodeError("unsubscribe must carry at least one filter")
+        for filter_ in packet.filters:
+            try:
+                validate_filter(filter_)
+            except FilterError as exc:
+                raise EncodeError(str(exc)) from exc
+            body += _encode_string(filter_, "topic filter")
+        return _fixed_header(PacketType.UNSUBSCRIBE, 0x02, bytes(body))
+
+    if isinstance(packet, Unsuback):
+        return _fixed_header(PacketType.UNSUBACK, 0, _encode_packet_id(packet.packet_id))
 
     if isinstance(packet, Pingreq):
         return b"\xc0\x00"
@@ -465,6 +510,33 @@ def _decode_suback(flags: int, body: _Body) -> Suback:
     return Suback(packet_id=packet_id, granted=tuple(granted))
 
 
+def _decode_unsubscribe(flags: int, body: _Body) -> Unsubscribe:
+    if flags != 0x02:
+        raise MalformedPacketError("unsubscribe flags must be 0b0010")
+    packet_id = body.u16()
+    if packet_id == 0:
+        raise MalformedPacketError("packet id 0 is not allowed")
+    filters = []
+    while not body.at_end():
+        filter_ = body.string("topic filter")
+        if not filter_:
+            raise MalformedPacketError("empty topic filter")
+        filters.append(filter_)
+    if not filters:
+        raise MalformedPacketError("unsubscribe carries no filters")
+    return Unsubscribe(packet_id=packet_id, filters=tuple(filters))
+
+
+def _decode_unsuback(flags: int, body: _Body) -> Unsuback:
+    if flags != 0:
+        raise MalformedPacketError("unsuback flags must be 0")
+    packet_id = body.u16()
+    if packet_id == 0:
+        raise MalformedPacketError("packet id 0 is not allowed")
+    body.expect_end("unsuback")
+    return Unsuback(packet_id=packet_id)
+
+
 def _decode_empty(cls, name: str, flags: int, body: _Body):
     if flags != 0:
         raise MalformedPacketError(f"{name} flags must be 0")
@@ -478,6 +550,8 @@ _DECODERS = {
     PacketType.PUBLISH: _decode_publish,
     PacketType.SUBSCRIBE: _decode_subscribe,
     PacketType.SUBACK: _decode_suback,
+    PacketType.UNSUBSCRIBE: _decode_unsubscribe,
+    PacketType.UNSUBACK: _decode_unsuback,
     PacketType.PINGREQ: lambda f, b: _decode_empty(Pingreq, "pingreq", f, b),
     PacketType.PINGRESP: lambda f, b: _decode_empty(Pingresp, "pingresp", f, b),
     PacketType.DISCONNECT: lambda f, b: _decode_empty(Disconnect, "disconnect", f, b),

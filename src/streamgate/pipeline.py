@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import base64
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 INDEX_HEADER_BYTES = 8
+_BODY_STRIDE = 7919  # a prime, so few body lengths share a factor with it
 
 
 class SourceError(Exception):
@@ -120,9 +122,14 @@ def synthetic_frame_length(width: int, height: int) -> int:
 class SyntheticFrameSource:
     """Camera stand-in producing deterministic frames.
 
-    Frame bytes are a pure function of (index, width, height): the
-    index in the first 8 bytes big-endian, then a seeded pseudo-random
-    body. Same inputs, same bytes, on any machine.
+    Frame bytes are a pure function of (index, width, height,
+    frame_bytes): the index in the first 8 bytes big-endian, then a
+    body-length window into one seeded pseudo-random noise block drawn
+    when the source is built. Frame ``i``'s window starts at
+    ``i * stride mod body_len``, with the stride coprime to the body
+    length, so the first ``body_len`` frames all have distinct bodies.
+    A frame costs one copy of its bytes, not a fresh random draw. Same
+    inputs, same bytes, on any machine.
     """
 
     def __init__(self, width: int, height: int, frame_bytes: Optional[int] = None):
@@ -135,12 +142,25 @@ class SyntheticFrameSource:
         )
         if self.frame_bytes < INDEX_HEADER_BYTES:
             raise SourceError(f"frame length must be >= {INDEX_HEADER_BYTES} bytes")
+        body_len = self.frame_bytes - INDEX_HEADER_BYTES
+        noise = random.Random(f"frame-noise:{width}:{height}:{body_len}").randbytes(body_len)
+        # Doubled, so every window is one contiguous slice.
+        self._noise = memoryview(noise + noise)
+        self._body_len = body_len
+        self._period = max(body_len, 1)
+        self._stride = _BODY_STRIDE
+        while math.gcd(self._stride, self._period) != 1:
+            self._stride += 1
         self._index = 0
 
     def frame_at(self, index: int) -> Frame:
-        rng = random.Random(f"frame:{index}:{self.width}:{self.height}")
-        body = rng.randbytes(self.frame_bytes - INDEX_HEADER_BYTES)
-        data = index.to_bytes(INDEX_HEADER_BYTES, "big") + body
+        start = index * self._stride % self._period
+        data = b"".join(
+            (
+                index.to_bytes(INDEX_HEADER_BYTES, "big"),
+                self._noise[start : start + self._body_len],
+            )
+        )
         return Frame(
             index=index,
             width=self.width,
@@ -276,6 +296,9 @@ def publish_stream(
     deadline = None if duration_s is None else start + duration_s
     try:
         while max_frames is None or frames_sent < max_frames:
+            due = start + frames_sent / fps
+            if deadline is not None and due >= deadline:
+                break  # never take a frame from the source only to drop it
             try:
                 payload = encode_payload(source.next_frame())
             except Exception as exc:
@@ -283,10 +306,9 @@ def publish_stream(
                 raise StreamAborted(
                     f"frame source failed after {frames_sent} frames: {exc}", stats
                 ) from exc
-            due = start + frames_sent / fps
             now = time.monotonic()
-            if deadline is not None and max(due, now) >= deadline:
-                break
+            if deadline is not None and now >= deadline:
+                break  # the source blocked past the deadline
             if due > now:
                 time.sleep(due - now)
             conn.publish(config.mqtt_topic, payload.encode("ascii"))

@@ -1,6 +1,9 @@
 """Embedded broker behavior: sessions, routing, liveness."""
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamgate
 from streamgate import mqtt
 from streamgate.broker import Broker, SubscriptionTable
 from streamgate.client import MqttConnection
@@ -190,6 +194,32 @@ def test_mixed_filters_granted_individually(broker):
     sock.close()
 
 
+def test_unsubscribe_stops_delivery_and_keeps_session(broker):
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(
+        mqtt.encode_packet(mqtt.Connect(client_id="leaving"))
+        + mqtt.encode_packet(mqtt.Subscribe(packet_id=1, filters=(("a/+", 0), ("a/b", 0))))
+    )
+    _connack, suback = recv_packets(sock, 2)
+    assert suback.granted == (0x00, 0x00)
+    pub = connect(broker, "pub")
+    pub.publish("a/b", b"1")
+    assert recv_packets(sock, 1) == [mqtt.Publish(topic="a/b", payload=b"1")]
+
+    # One filter the session never had: removing it is a no-op.
+    unsubscribe = mqtt.Unsubscribe(packet_id=2, filters=("a/+", "a/b", "never/had"))
+    sock.sendall(mqtt.encode_packet(unsubscribe))
+    assert recv_packets(sock, 1) == [mqtt.Unsuback(packet_id=2)]
+    assert broker.table.filter_count() == 0
+    pub.publish("a/b", b"2")
+    pub.ping()  # answered only after the publish before it was routed
+    assert isinstance(pub.recv_packet(timeout=2.0), mqtt.Pingresp)
+    sock.sendall(mqtt.encode_packet(mqtt.Pingreq()))
+    assert recv_packets(sock, 1) == [mqtt.Pingresp()]
+    sock.close()
+    pub.disconnect()
+
+
 def test_per_connection_fifo_order(broker):
     sub = connect(broker, "sub")
     sub.subscribe("seq")
@@ -298,6 +328,21 @@ def test_table_dedups_across_filters():
     assert table.sessions_for("other") == {s1}
 
 
+def test_table_remove_drops_one_subscription():
+    table = SubscriptionTable()
+    s1, s2 = FakeSession("s1"), FakeSession("s2")
+    table.add("a", s1)
+    table.add("a", s2)
+    table.add("b", s1)
+    table.remove("a", s1)
+    table.remove("c", s1)  # never subscribed: no-op
+    table.remove("b", s2)  # filter held by another session: no-op
+    assert table.sessions_for("a") == {s2}
+    assert table.sessions_for("b") == {s1}
+    table.remove("b", s1)
+    assert table.filter_count() == 1
+
+
 def test_table_discard_leaves_no_dangling_refs():
     table = SubscriptionTable()
     s1, s2 = FakeSession("s1"), FakeSession("s2")
@@ -321,6 +366,17 @@ def test_broker_drops_session_refs_on_disconnect(broker):
 
 
 # -- lifecycle ---------------------------------------------------------------------
+
+
+def test_broker_import_loads_only_the_codec():
+    # A process that hosts only the broker never loads the enclave side.
+    code = "import sys, streamgate.broker; print(sorted(m for m in sys.modules if 'streamgate' in m))"
+    src = os.path.dirname(os.path.dirname(streamgate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=30
+    ).stdout
+    assert out.strip() == str(["streamgate", "streamgate.broker", "streamgate.mqtt"])
 
 
 def test_serve_returns_running_handle():

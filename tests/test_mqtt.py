@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamgate import mqtt
 from packet_gen import random_filter, random_packet, random_topic, reference_topic_match
@@ -97,6 +99,16 @@ def test_subscribe_wire_bytes():
     assert mqtt.encode_packet(packet) == expected
 
 
+def test_unsubscribe_wire_bytes():
+    packet = mqtt.Unsubscribe(packet_id=10, filters=("a/b", "c/#"))
+    expected = bytes([0xA2, 12, 0x00, 0x0A, 0x00, 0x03]) + b"a/b" + bytes([0x00, 0x03]) + b"c/#"
+    assert mqtt.encode_packet(packet) == expected
+
+
+def test_unsuback_wire_bytes():
+    assert mqtt.encode_packet(mqtt.Unsuback(packet_id=10)) == b"\xb0\x02\x00\x0a"
+
+
 def test_retain_flag_bit():
     raw = mqtt.encode_packet(mqtt.Publish(topic="t", payload=b"", retain=True))
     assert raw[0] == 0x31
@@ -182,6 +194,15 @@ def _body(packet: mqtt.MqttPacket) -> bytes:
         (b"\x10\x08\x00\x04MQTX\x04\x02", "protocol name mismatch"),
         (b"\x10\x08\x00\x04MQTT\x05\x02", "protocol level 5"),
         (b"\x30\x04\x00\x03ab", "string runs past body"),
+        (b"\xa2\x02\x00\x01", "unsubscribe with no filters"),
+        (b"\xa0\x05\x00\x01\x00\x01a", "unsubscribe flags must be 2"),
+        (b"\xa2\x05\x00\x00\x00\x01a", "unsubscribe packet id zero"),
+        (b"\xa2\x04\x00\x01\x00\x00", "unsubscribe empty filter"),
+        (b"\xa2\x05\x00\x01\x00\x02a", "unsubscribe filter runs past body"),
+        (b"\xb1\x02\x00\x01", "unsuback flags nonzero"),
+        (b"\xb0\x02\x00\x00", "unsuback packet id zero"),
+        (b"\xb0\x01\x00", "unsuback body truncated"),
+        (b"\xb0\x03\x00\x01\x00", "unsuback trailing byte"),
     ],
 )
 def test_malformed_inputs_rejected(raw, why):
@@ -249,6 +270,15 @@ def test_encode_rejects_empty_subscribe():
         mqtt.encode_packet(mqtt.Subscribe(packet_id=1, filters=()))
 
 
+def test_encode_rejects_bad_unsubscribe():
+    with pytest.raises(mqtt.EncodeError):
+        mqtt.encode_packet(mqtt.Unsubscribe(packet_id=1, filters=()))
+    with pytest.raises(mqtt.EncodeError):
+        mqtt.encode_packet(mqtt.Unsubscribe(packet_id=1, filters=("a/#/b",)))
+    with pytest.raises(mqtt.EncodeError):
+        mqtt.encode_packet(mqtt.Unsuback(packet_id=0))
+
+
 def test_encode_rejects_bad_keep_alive():
     with pytest.raises(mqtt.EncodeError):
         mqtt.encode_packet(mqtt.Connect(client_id="x", keep_alive_s=70_000))
@@ -301,3 +331,75 @@ def test_matcher_agrees_with_reference():
         filter_ = random_filter(rng)
         topic = random_topic(rng)
         assert mqtt.topic_matches(filter_, topic) == reference_topic_match(filter_, topic)
+
+
+# -- properties ----------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=12)
+_LEVEL = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00+#/"), max_size=6)
+_TOPICS = st.lists(_LEVEL, min_size=1, max_size=4).map("/".join).filter(bool)
+_FILTERS = st.builds(
+    lambda levels, tail: "/".join(levels + tail),
+    st.lists(st.one_of(_LEVEL, st.just("+")), min_size=1, max_size=4),
+    st.sampled_from([[], ["#"]]),
+).filter(bool)
+_PACKET_IDS = st.integers(1, 0xFFFF)
+
+PACKETS = st.one_of(
+    st.builds(mqtt.Connect, _TEXT, st.integers(0, 0xFFFF), st.booleans()),
+    st.builds(mqtt.Connack, st.integers(0, 5)),
+    st.builds(mqtt.Publish, _TOPICS, st.binary(max_size=300), st.booleans()),
+    st.builds(
+        mqtt.Subscribe,
+        _PACKET_IDS,
+        st.lists(st.tuples(_FILTERS, st.integers(0, 2)), min_size=1, max_size=3),
+    ),
+    st.builds(
+        mqtt.Suback, _PACKET_IDS, st.lists(st.sampled_from([0, 1, 2, 0x80]), min_size=1, max_size=3)
+    ),
+    st.builds(mqtt.Unsubscribe, _PACKET_IDS, st.lists(_FILTERS, min_size=1, max_size=3)),
+    st.builds(mqtt.Unsuback, _PACKET_IDS),
+    st.builds(mqtt.Pingreq),
+    st.builds(mqtt.Pingresp),
+    st.builds(mqtt.Disconnect),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=PACKETS)
+def test_property_round_trip(packet):
+    wire = mqtt.encode_packet(packet)
+    assert mqtt.decode_packet(wire) == (packet, len(wire))
+
+
+def _mutate(wire: bytes, at: int, value: int) -> bytes:
+    data = bytearray(wire)
+    data[at % len(data)] = value
+    return bytes(data)
+
+
+# Random bytes, bytes framed with a consistent remaining length (so the
+# body decoders run), and valid packets with one byte changed.
+_BLOBS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda first, body: bytes([first]) + mqtt.encode_remaining_length(len(body)) + body,
+        st.integers(0, 255),
+        st.binary(max_size=64),
+    ),
+    st.builds(_mutate, PACKETS.map(mqtt.encode_packet), st.integers(0, 400), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_BLOBS, tail=st.binary(max_size=8))
+def test_property_any_bytes_decode_or_raise_codec_error(data, tail):
+    blob = data + tail
+    try:
+        packet, consumed = mqtt.decode_packet(blob)
+    except (mqtt.NeedMoreDataError, mqtt.MalformedPacketError):
+        return
+    # Never more than the declared length, and bytes past it are unread.
+    declared, prefix = mqtt.decode_remaining_length(blob[1:])
+    assert consumed == 1 + prefix + declared
+    assert mqtt.decode_packet(blob[:consumed]) == (packet, consumed)

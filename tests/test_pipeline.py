@@ -1,5 +1,6 @@
 """Frame sources, payload codec, pacing, and the authentication gate."""
 
+import hashlib
 import random
 import threading
 import time
@@ -56,6 +57,27 @@ def test_synthetic_frames_deterministic():
     assert a.bytes == b.bytes
     assert SyntheticFrameSource(320, 241).frame_at(7).bytes != a.bytes
     assert SyntheticFrameSource(320, 240).frame_at(8).bytes != a.bytes
+
+
+def test_synthetic_frame_bytes_are_pinned():
+    # Frames are a pure function of their inputs: these digests must
+    # hold on every machine and every supported Python.
+    def digest(source, index):
+        return hashlib.sha256(source.frame_at(index).bytes).hexdigest()
+
+    hd = SyntheticFrameSource(1920, 1080)
+    assert digest(hd, 0) == "99db66f68db6c225ec6b99993a046b6cc72deb79dfc9d8a4cbf3f37d9138b3e7"
+    assert digest(hd, 255) == "d35d493888fb4d7faffdac8131637b7a6d3dedbe4d3c6daaa6bd8b81c69f701a"
+    small = SyntheticFrameSource(64, 64, frame_bytes=64)
+    assert digest(small, 3) == "ece45332b31c11dd986852713f996b9b8775e981e68c9f0356ace4e0836c219a"
+    header_only = SyntheticFrameSource(64, 64, frame_bytes=8)
+    assert header_only.frame_at(5).bytes == (5).to_bytes(8, "big")
+
+
+def test_synthetic_bodies_distinct_across_a_pool():
+    source = SyntheticFrameSource(1920, 1080)
+    bodies = {source.frame_at(i).bytes[8:] for i in range(256)}
+    assert len(bodies) == 256
 
 
 def test_synthetic_frame_length_scales_with_geometry():
@@ -440,6 +462,22 @@ def test_duration_bound_reads_at_most_one_frame_ahead():
         )
     assert result.stats.frames_sent >= 1
     assert source.calls - result.stats.frames_sent <= 1
+
+
+def test_duration_bound_takes_no_frame_it_does_not_send():
+    # 5 frame slots fit in 0.5 s at 10 fps; a sixth frame taken from a
+    # live camera and dropped would be lost.
+    source = RecordingSource()
+    with Broker("127.0.0.1", 0) as broker:
+        result = publish_stream(
+            small_config(broker, fps=10.0),
+            provision(SECRET),
+            SECRET,
+            duration_s=0.5,
+            source=source,
+        )
+    assert result.stats.frames_sent >= 1
+    assert source.calls == result.stats.frames_sent
 
 
 def test_reused_source_is_paced_from_the_new_stream_start():
