@@ -12,10 +12,12 @@ session socket. That thread owns all broker state, so nothing is
 locked. Each select batch is handled in full before any output is
 flushed.
 
-Delivery policy for slow subscribers: each session has a bounded
-outbox of encoded packets (8 MiB by default). When it is full, new
-messages for that session are dropped rather than queued, because a
-live video stream wants freshness, not completeness.
+A PUBLISH is never re-encoded: every matching session's bounded
+outbox (8 MiB by default) gets one new header and the payload object
+as received. When it is full, new messages for that session are
+dropped rather than queued, because a live video stream wants
+freshness, not completeness. The same bound caps a session's unparsed
+input, and a socket that sends no CONNECT in time is closed.
 
 Log lines carry client ids, topics, and byte counts only, never
 payload content.
@@ -39,6 +41,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PORT = 1883
 DEFAULT_SESSION_BUFFER = 8 * 1024 * 1024
 KEEP_ALIVE_GRACE = 1.5
+CONNECT_TIMEOUT_S = 10.0  # from accept to CONNECT, MQTT 3.1.1 section 3.1.4
 _RECV_CHUNK = 65536
 _IOV_MAX = 1024  # buffers per sendmsg call, the Linux and BSD limit
 
@@ -109,10 +112,10 @@ class _Session:
         self.address = address
         self.client_id: Optional[str] = None  # set once CONNECT is accepted
         self.keep_alive_s = 0
-        self.last_activity = time.monotonic()
+        self.accepted_at = self.last_activity = time.monotonic()
         self.inbox = bytearray()
-        # Encoded packets, never copied; the head may be the unsent tail
-        # of a partial send.
+        # Wire bytes, never copied: a forwarded PUBLISH is its header and
+        # then its payload. The head may be the unsent tail of a partial send.
         self.outbox: List[Union[bytes, memoryview]] = []
         self.outbox_bytes = 0
         self.writing = False  # registered for EVENT_WRITE
@@ -121,6 +124,14 @@ class _Session:
     @property
     def name(self) -> str:
         return self.client_id or str(self.address)
+
+    def deadline(self) -> Optional[float]:
+        """When the broker gives up on hearing from this session, if ever."""
+        if self.client_id is None:
+            return self.accepted_at + CONNECT_TIMEOUT_S
+        if self.keep_alive_s > 0:
+            return self.last_activity + KEEP_ALIVE_GRACE * self.keep_alive_s
+        return None
 
 
 class Broker:
@@ -144,11 +155,6 @@ class Broker:
         self.stats = BrokerStats()
         self._sessions: Dict[str, _Session] = {}  # by client id
         self._unflushed: Set[_Session] = set()  # output queued since the last flush
-        # The last routed publish is kept until the next one arrives. If
-        # every frame-sized buffer were freed between frames, glibc would
-        # trim the loop thread's heap after each frame and fault it back
-        # in on the next (about 48 page faults per 86 KB frame).
-        self._last_publish: Optional[mqtt.Publish] = None
         # Every session is read into this one buffer, so recv() allocates
         # nothing. With a fresh 64 KiB bytes per recv(), glibc trimmed the
         # heap in about a quarter of runs (7 to 23 page faults per frame).
@@ -280,6 +286,10 @@ class Broker:
                 break
             del inbox[:consumed]
             self._handle(session, packet)
+        if len(inbox) > self.max_session_buffer and not session.closed:
+            # No whole packet in it: one this large could never be forwarded.
+            log.warning("session %s: packet over %d bytes", session.name, self.max_session_buffer)
+            self._close(session, "packet too large")
         return not session.closed
 
     def _handle(self, session: _Session, packet) -> None:
@@ -296,7 +306,6 @@ class Broker:
         elif isinstance(packet, mqtt.Publish):
             self.stats.publishes_received += 1
             self.route(packet)
-            self._last_publish = packet
         elif isinstance(packet, mqtt.Subscribe):
             granted = []
             for topic_filter, _requested_qos in packet.filters:
@@ -358,29 +367,33 @@ class Broker:
         session.sock.close()
 
     def _expire_idle(self) -> Optional[float]:
-        """Close sessions idle past their grace; seconds until the next deadline."""
+        """Close sessions past their deadline; seconds until the next deadline."""
         now = time.monotonic()
         timeout = None
-        for session in list(self._sessions.values()):  # only CONNECT sets a keep-alive
-            if session.keep_alive_s <= 0:
+        for key in list(self._selector.get_map().values()):
+            session = key.data
+            deadline = None if session is None else session.deadline()
+            if deadline is None:
                 continue
-            left = session.last_activity + KEEP_ALIVE_GRACE * session.keep_alive_s - now
+            left = deadline - now
             if left < 0:
-                self._close(session, "keep-alive expired")
+                expired = "keep-alive expired" if session.client_id else "no connect in time"
+                self._close(session, expired)
             elif timeout is None or left < timeout:
                 timeout = left
         return timeout
 
     # -- outbound -------------------------------------------------------------
 
-    def _enqueue(self, session: _Session, data: bytes) -> bool:
-        """Queue encoded bytes for the next flush; False means dropped (full)."""
-        if session.outbox_bytes + len(data) > self.max_session_buffer:
+    def _enqueue(self, session: _Session, *data: bytes) -> bool:
+        """Queue the parts of one packet for the next flush; False means dropped (full)."""
+        size = sum(map(len, data))
+        if session.outbox_bytes + size > self.max_session_buffer:
             return False
         if not session.outbox:  # else a flush is already due or awaits EVENT_WRITE
             self._unflushed.add(session)
-        session.outbox.append(data)
-        session.outbox_bytes += len(data)
+        session.outbox.extend(data)
+        session.outbox_bytes += size
         return True
 
     def _flush(self, session: _Session) -> None:
@@ -412,30 +425,25 @@ class Broker:
 
     # -- routing --------------------------------------------------------------
 
-    def route(self, publish: mqtt.Publish) -> Set[_Session]:
+    def route(self, publish: mqtt.Publish) -> None:
         """Deliver a publish once to every matching session.
 
-        Returns the set of sessions the payload was queued for. QoS 0:
-        sessions whose outbox is full just miss this message.
+        QoS 0: sessions whose outbox is full just miss this message.
         """
         matched = self.table.sessions_for(publish.topic)
         if not matched:
-            return set()
+            return
         # Forwarded publishes never carry the retain flag (nothing is stored).
-        data = mqtt.encode_packet(
-            mqtt.Publish(topic=publish.topic, payload=publish.payload, retain=False)
-        )
-        delivered: Set[_Session] = set()
+        header = mqtt.publish_header(publish.topic, len(publish.payload))
+        size = len(header) + len(publish.payload)
         for session in matched:
-            if self._enqueue(session, data):
-                delivered.add(session)
+            if self._enqueue(session, header, publish.payload):
                 self.stats.messages_delivered += 1
             else:
                 self.stats.messages_dropped += 1
                 log.info(
-                    "dropped %d-byte message for slow session %s", len(data), session.name
+                    "dropped %d-byte message for slow session %s", size, session.name
                 )
-        return delivered
 
 
 def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT, **kwargs) -> Broker:

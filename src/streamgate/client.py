@@ -50,6 +50,7 @@ class MqttConnection:
         self._connect_timeout = connect_timeout
         self._sock: Optional[socket.socket] = None
         self._buffer = bytearray()
+        self._recv_view = memoryview(bytearray(_RECV_CHUNK))  # every recv lands here
         self._pending: deque = deque()
 
     def __enter__(self) -> "MqttConnection":
@@ -70,13 +71,8 @@ class MqttConnection:
             )
         except OSError as exc:
             raise ClientError(f"cannot reach broker at {self.host}:{self.port}: {exc}") from exc
-        self._send(
-            mqtt.Connect(
-                client_id=self.client_id,
-                keep_alive_s=self.keep_alive_s,
-                clean_session=True,
-            )
-        )
+        connect = mqtt.Connect(self.client_id, self.keep_alive_s, clean_session=True)
+        self._send(mqtt.encode_packet(connect))
         ack = self._await_packet(mqtt.Connack, timeout=self._connect_timeout)
         if ack is None:
             self.close()
@@ -86,11 +82,12 @@ class MqttConnection:
             raise ClientError(f"broker refused connection: return code {ack.return_code}")
 
     def publish(self, topic: str, payload: bytes, retain: bool = False) -> None:
-        self._send(mqtt.Publish(topic=topic, payload=payload, retain=retain))
+        self._send(mqtt.publish_header(topic, len(payload), retain), payload)
 
     def subscribe(self, topic_filter: str, packet_id: int = 1) -> int:
         """Subscribe to one filter; returns the granted QoS (0) or raises."""
-        self._send(mqtt.Subscribe(packet_id=packet_id, filters=((topic_filter, 0),)))
+        subscribe = mqtt.Subscribe(packet_id=packet_id, filters=((topic_filter, 0),))
+        self._send(mqtt.encode_packet(subscribe))
         ack = self._await_packet(mqtt.Suback, timeout=self._connect_timeout)
         if ack is None:
             raise ClientError("broker closed the connection during subscribe")
@@ -101,7 +98,7 @@ class MqttConnection:
         return ack.granted[0] if ack.granted else 0
 
     def ping(self) -> None:
-        self._send(mqtt.Pingreq())
+        self._send(mqtt.encode_packet(mqtt.Pingreq()))
 
     def recv_packet(self, timeout: Optional[float] = None):
         """Return the next packet, or None once the peer has closed or
@@ -117,7 +114,7 @@ class MqttConnection:
         """Polite shutdown: send DISCONNECT, then drop the socket."""
         if self._sock is not None:
             try:
-                self._send(mqtt.Disconnect())
+                self._send(mqtt.encode_packet(mqtt.Disconnect()))
             except (ClientError, OSError):
                 pass
         self.close()
@@ -132,11 +129,16 @@ class MqttConnection:
 
     # -- internals ----------------------------------------------------------
 
-    def _send(self, packet) -> None:
+    def _send(self, *buffers: bytes) -> None:
+        """Send the buffers in order, in one system call unless the socket is full."""
         if self._sock is None:
             raise ClientError("not connected")
         try:
-            self._sock.sendall(mqtt.encode_packet(packet))
+            sent = self._sock.sendmsg(buffers)
+            for buf in buffers:  # a socket with a timeout may take only part
+                if sent < len(buf):
+                    self._sock.sendall(memoryview(buf)[sent:])
+                sent = max(sent - len(buf), 0)
         except OSError as exc:
             self.close()
             raise ClientError(f"send failed: {exc}") from exc
@@ -159,16 +161,16 @@ class MqttConnection:
                 self.close()
                 return None
             try:
-                chunk = self._sock.recv(_RECV_CHUNK)
+                received = self._sock.recv_into(self._recv_view)
             except socket.timeout:
                 raise TimeoutError("no packet within timeout") from None
             except OSError:
                 self.close()
                 return None
-            if not chunk:
+            if not received:
                 self.close()
                 return None
-            self._buffer += chunk
+            self._buffer += self._recv_view[:received]
 
     def _await_packet(self, packet_cls, timeout: float):
         """Read until a packet of the wanted class arrives; queue the rest."""

@@ -45,6 +45,7 @@ __all__ = [
     "decode_remaining_length",
     "encode_packet",
     "encode_remaining_length",
+    "publish_header",
     "topic_matches",
     "validate_filter",
     "validate_publish_topic",
@@ -275,16 +276,28 @@ def _encode_string(value: str, what: str) -> bytes:
     return len(data).to_bytes(2, "big") + data
 
 
-def _fixed_header(packet_type: PacketType, flags: int, body: bytes) -> bytes:
-    if len(body) > MAX_REMAINING_LENGTH:
-        raise EncodeError(f"packet body of {len(body)} bytes exceeds protocol cap")
-    return bytes([(packet_type << 4) | flags]) + encode_remaining_length(len(body)) + body
+def _fixed_header(packet_type: PacketType, flags: int, body: bytes, payload_len: int = 0) -> bytes:
+    """The fixed header and ``body``; a payload of ``payload_len`` bytes may follow."""
+    remaining = len(body) + payload_len
+    if remaining > MAX_REMAINING_LENGTH:
+        raise EncodeError(f"packet body of {remaining} bytes exceeds protocol cap")
+    return bytes([(packet_type << 4) | flags]) + encode_remaining_length(remaining) + body
 
 
 def _encode_packet_id(packet_id: int) -> bytes:
     if not 1 <= packet_id <= 0xFFFF:
         raise EncodeError(f"packet id out of range: {packet_id}")
     return packet_id.to_bytes(2, "big")
+
+
+def publish_header(topic: str, payload_len: int, retain: bool = False) -> bytes:
+    """Wire bytes of a QoS 0 PUBLISH up to its payload: fixed header and topic."""
+    try:
+        validate_publish_topic(topic)
+    except FilterError as exc:
+        raise EncodeError(str(exc)) from exc
+    topic_field = _encode_string(topic, "topic")
+    return _fixed_header(PacketType.PUBLISH, 0x01 if retain else 0x00, topic_field, payload_len)
 
 
 def encode_packet(packet: MqttPacket) -> bytes:
@@ -309,12 +322,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
     if isinstance(packet, Publish):
         if packet.qos != 0:
             raise EncodeError("only QoS 0 publishes are supported")
-        try:
-            validate_publish_topic(packet.topic)
-        except FilterError as exc:
-            raise EncodeError(str(exc)) from exc
-        body = _encode_string(packet.topic, "topic") + bytes(packet.payload)
-        return _fixed_header(PacketType.PUBLISH, 0x01 if packet.retain else 0x00, body)
+        return publish_header(packet.topic, len(packet.payload), packet.retain) + packet.payload
 
     if isinstance(packet, Subscribe):
         body = bytearray(_encode_packet_id(packet.packet_id))
@@ -377,7 +385,7 @@ class _Body:
     truncation inside it is a malformed packet, never a need-more-bytes.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self._data = data
         self._pos = 0
 
@@ -402,7 +410,7 @@ class _Body:
         raw = self._data[self._pos : self._pos + length]
         self._pos += length
         try:
-            value = raw.decode("utf-8")
+            value = str(raw, "utf-8")
         except UnicodeDecodeError:
             raise MalformedPacketError(f"{what} is not valid UTF-8") from None
         if "\x00" in value:
@@ -410,7 +418,7 @@ class _Body:
         return value
 
     def rest(self) -> bytes:
-        value = self._data[self._pos :]
+        value = bytes(self._data[self._pos :])
         self._pos = len(self._data)
         return value
 
@@ -567,17 +575,11 @@ def decode_packet(data) -> Tuple[MqttPacket, int]:
     if len(data) < 1:
         raise NeedMoreDataError("no fixed header yet")
     view = memoryview(data)
-    first = view[0]
-    type_value = first >> 4
-    flags = first & 0x0F
+    decoder = _DECODERS.get(view[0] >> 4)
+    if decoder is None:  # known from the first byte: do not wait for the body
+        raise MalformedPacketError(f"unsupported packet type {view[0] >> 4}")
     remaining, consumed = decode_remaining_length(view[1:])
     total = 1 + consumed + remaining
     if len(view) < total:
         raise NeedMoreDataError(f"have {len(view)} of {total} bytes")
-    try:
-        packet_type = PacketType(type_value)
-    except ValueError:
-        raise MalformedPacketError(f"unsupported packet type {type_value}") from None
-    body = _Body(bytes(view[1 + consumed : total]))
-    packet = _DECODERS[packet_type](flags, body)
-    return packet, total
+    return decoder(view[0] & 0x0F, _Body(view[1 + consumed : total])), total

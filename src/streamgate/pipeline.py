@@ -218,15 +218,13 @@ def source_from_config(config: GatewayConfig) -> FrameSource:
 # ---------------------------------------------------------------------------
 
 
-def encode_payload(frame: Frame) -> str:
+def encode_payload(frame: Frame) -> bytes:
     """Standard padded base64 of the frame bytes, as published."""
-    return base64.b64encode(frame.bytes).decode("ascii")
+    return base64.b64encode(frame.bytes)
 
 
 def decode_payload(text: Union[str, bytes]) -> bytes:
     """Inverse of :func:`encode_payload`; strict, raises on bad input."""
-    if isinstance(text, str):
-        text = text.encode("ascii")
     return base64.b64decode(text, validate=True)
 
 
@@ -311,7 +309,7 @@ def publish_stream(
                 break  # the source blocked past the deadline
             if due > now:
                 time.sleep(due - now)
-            conn.publish(config.mqtt_topic, payload.encode("ascii"))
+            conn.publish(config.mqtt_topic, payload)
             last_send = time.monotonic()
             if not frames_sent:
                 first_send = last_send

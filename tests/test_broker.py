@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamgate
+from streamgate import broker as broker_module
 from streamgate import mqtt
 from streamgate.broker import Broker, SubscriptionTable
 from streamgate.client import MqttConnection
@@ -488,3 +489,136 @@ def test_random_bytes_close_only_the_offending_session(junk):
         connect(broker, "late").disconnect()
         pub.disconnect()
         sub.disconnect()
+
+
+# -- forwarding -------------------------------------------------------------------
+
+
+def test_retained_publish_forwarded_with_retain_cleared(broker):
+    sub = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sub.sendall(mqtt.encode_packet(mqtt.Connect(client_id="raw-sub")))
+    sub.sendall(mqtt.encode_packet(mqtt.Subscribe(packet_id=1, filters=(("t/r", 0),))))
+    assert [type(p) for p in recv_packets(sub, 2)] == [mqtt.Connack, mqtt.Suback]
+    wire = mqtt.encode_packet(mqtt.Publish(topic="t/r", payload=bytes(range(256)), retain=True))
+    assert wire[0] == 0x31
+    pub = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    pub.sendall(mqtt.encode_packet(mqtt.Connect(client_id="raw-pub")) + wire)
+    forwarded = b""
+    while len(forwarded) < len(wire):
+        chunk = sub.recv(len(wire) - len(forwarded))
+        assert chunk, "subscriber closed"
+        forwarded += chunk
+    # MQTT 3.1.1 section 3.3.1.3: only the retain bit changes.
+    assert forwarded == b"\x30" + wire[1:]
+    pub.close()
+    sub.close()
+
+
+def _minor_faults(pid: int) -> int:
+    with open(f"/proc/{pid}/stat") as stat:
+        # Field 10; the command name in field 2 may hold spaces.
+        return int(stat.read().rsplit(")", 1)[1].split()[7])
+
+
+_BROKER_CHILD = (
+    "import sys; from streamgate.broker import serve; b = serve('127.0.0.1', 0); "
+    "print(b.port, flush=True); sys.stdin.read(); b.stop()"
+)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads minor faults from Linux /proc"
+)
+def test_forwarding_frames_does_not_fault_the_broker_heap():
+    # A broker that frees every frame-sized buffer between frames has its
+    # heap trimmed by glibc and faulted back in, about 50 faults a frame.
+    src = os.path.dirname(os.path.dirname(streamgate.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-c", _BROKER_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as child:
+        try:
+            port = int(child.stdout.readline())
+            sub = MqttConnection("127.0.0.1", port, "sub")
+            sub.connect()
+            sub.subscribe("cam")
+            pub = MqttConnection("127.0.0.1", port, "pub")
+            pub.connect()
+            payload = bytes(86_412)
+
+            def forward(frames):
+                for _ in range(frames):  # one frame in flight, as at a camera's pace
+                    pub.publish("cam", payload)
+                    assert sub.recv_packet(timeout=5.0).payload == payload
+
+            forward(20)  # warm-up
+            before = _minor_faults(child.pid)
+            frames = 200
+            forward(frames)
+            per_frame = (_minor_faults(child.pid) - before) / frames
+            pub.disconnect()
+            sub.disconnect()
+        finally:
+            child.stdin.close()  # end of input stops the broker
+            child.wait(timeout=10)
+    assert per_frame <= 5, f"{per_frame:.1f} minor faults per frame"
+
+
+# -- hostile and silent peers ----------------------------------------------------------
+
+
+def assert_closed_by_broker(sock, timeout=3.0):
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(65536):
+            pass
+    except ConnectionResetError:  # closed with our bytes still unread
+        pass
+    sock.close()
+
+
+def assert_still_routing(broker):
+    sub = connect(broker, "witness-sub")
+    sub.subscribe("alive")
+    pub = connect(broker, "witness-pub")
+    pub.publish("alive", b"yes")
+    assert sub.recv_packet(timeout=2.0) == mqtt.Publish(topic="alive", payload=b"yes")
+    pub.disconnect()
+    sub.disconnect()
+
+
+def test_oversized_packet_without_connect_closes_session(broker):
+    # Declares the largest publish MQTT allows, then streams its body: the
+    # broker must give up once it holds more than one session buffer.
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5.0)
+    with pytest.raises(OSError):  # reset before 40 MiB of body are in
+        sock.sendall(b"\x30\xff\xff\xff\x7f")
+        for _ in range(40):
+            sock.sendall(bytes(1 << 20))
+    assert_closed_by_broker(sock)
+    assert_still_routing(broker)
+
+
+def test_reserved_type_header_closes_session_at_once(broker):
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(b"\xf0\xff\xff\xff\x7f")
+    assert_closed_by_broker(sock, timeout=2.0)
+    assert_still_routing(broker)
+
+
+def test_socket_without_connect_closed_at_deadline(broker, monkeypatch):
+    monkeypatch.setattr(broker_module, "CONNECT_TIMEOUT_S", 0.3)
+    start = time.monotonic()
+    silent = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    trickling = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    connect_bytes = mqtt.encode_packet(mqtt.Connect(client_id="slow"))
+    for byte in connect_bytes[:4]:  # each byte arrives before the deadline
+        trickling.sendall(bytes([byte]))
+        time.sleep(0.05)
+    assert_closed_by_broker(trickling)
+    assert_closed_by_broker(silent)
+    assert 0.3 <= time.monotonic() - start <= 2.5
+    assert_still_routing(broker)

@@ -372,6 +372,26 @@ def test_property_round_trip(packet):
     assert mqtt.decode_packet(wire) == (packet, len(wire))
 
 
+@settings(max_examples=300, deadline=None)
+@given(topic=_TOPICS, payload=st.binary(max_size=300), retain=st.booleans())
+def test_property_publish_header_prefixes_encoded_publish(topic, payload, retain):
+    header = mqtt.publish_header(topic, len(payload), retain)
+    assert header + payload == mqtt.encode_packet(mqtt.Publish(topic, payload, retain))
+
+
+def test_publish_header_rejects_wildcard_topic():
+    with pytest.raises(mqtt.EncodeError):
+        mqtt.publish_header("a/#", 0)
+
+
+@pytest.mark.parametrize("first", [0x00, 0x40, 0x50, 0x60, 0x70, 0xF0, 0xFF])
+def test_unknown_type_rejected_from_first_byte(first):
+    # No need to wait for a body the declared length says is 256 MiB.
+    for raw in (bytes([first]), bytes([first]) + b"\xff\xff\xff\x7f"):
+        with pytest.raises(mqtt.MalformedPacketError):
+            mqtt.decode_packet(raw)
+
+
 def _mutate(wire: bytes, at: int, value: int) -> bytes:
     data = bytearray(wire)
     data[at % len(data)] = value

@@ -35,7 +35,7 @@ def publish_frames(broker, frames, client_id="feeder"):
     pub = MqttConnection("127.0.0.1", broker.port, client_id)
     pub.connect()
     for frame in frames:
-        pub.publish(TOPIC, encode_payload(frame).encode("ascii"))
+        pub.publish(TOPIC, encode_payload(frame))
     pub.disconnect()
 
 
@@ -76,9 +76,9 @@ def test_bad_payload_counted_not_fatal():
         thread = collect_in_thread(broker, box, max_frames=2, duration_s=8.0)
         pub = MqttConnection("127.0.0.1", broker.port, "feeder")
         pub.connect()
-        pub.publish(TOPIC, encode_payload(source.frame_at(0)).encode("ascii"))
+        pub.publish(TOPIC, encode_payload(source.frame_at(0)))
         pub.publish(TOPIC, b"!this is not base64!")
-        pub.publish(TOPIC, encode_payload(source.frame_at(1)).encode("ascii"))
+        pub.publish(TOPIC, encode_payload(source.frame_at(1)))
         pub.disconnect()
         thread.join(timeout=8.0)
     report = box["report"]
@@ -148,7 +148,7 @@ def test_measured_fps_from_arrival_times():
         pub = MqttConnection("127.0.0.1", broker.port, "feeder")
         pub.connect()
         for i in range(8):
-            pub.publish(TOPIC, encode_payload(source.frame_at(i)).encode("ascii"))
+            pub.publish(TOPIC, encode_payload(source.frame_at(i)))
             time.sleep(0.05)  # ~20 fps
         pub.disconnect()
         thread.join(timeout=8.0)
@@ -170,7 +170,7 @@ def test_non_publish_packets_ignored():
         thread = collect_in_thread(broker, box, max_frames=1, duration_s=8.0)
         pub = MqttConnection("127.0.0.1", broker.port, "feeder")
         pub.connect()
-        pub.publish(TOPIC, encode_payload(source.frame_at(0)).encode("ascii"))
+        pub.publish(TOPIC, encode_payload(source.frame_at(0)))
         pub.disconnect()
         thread.join(timeout=8.0)
     assert box["report"].frames_received == 1
@@ -199,7 +199,7 @@ def test_malformed_packet_ends_collection_with_partial_report():
             await_packet()  # CONNECT
             conn.sendall(mqtt.encode_packet(mqtt.Connack()))
             await_packet()  # SUBSCRIBE
-            payload = encode_payload(source.frame_at(0)).encode("ascii")
+            payload = encode_payload(source.frame_at(0))
             conn.sendall(
                 mqtt.encode_packet(mqtt.Suback(packet_id=1, granted=(0,)))
                 + mqtt.encode_packet(mqtt.Publish(topic=TOPIC, payload=payload))
