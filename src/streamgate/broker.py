@@ -17,7 +17,8 @@ outbox (8 MiB by default) gets one new header and the payload object
 as received. When it is full, new messages for that session are
 dropped rather than queued, because a live video stream wants
 freshness, not completeness. The same bound caps a session's unparsed
-input, and a socket that sends no CONNECT in time is closed.
+input. A socket must open with a CONNECT no longer than the codec
+accepts, and within ``CONNECT_TIMEOUT_S``, or it is closed.
 
 Log lines carry client ids, topics, and byte counts only, never
 payload content.
@@ -125,13 +126,14 @@ class _Session:
     def name(self) -> str:
         return self.client_id or str(self.address)
 
-    def deadline(self) -> Optional[float]:
-        """When the broker gives up on hearing from this session, if ever."""
+    def deadline(self) -> float:
+        """When the broker gives up on hearing from this session.
+
+        Only a session with no CONNECT yet, or with a keep-alive, has one.
+        """
         if self.client_id is None:
             return self.accepted_at + CONNECT_TIMEOUT_S
-        if self.keep_alive_s > 0:
-            return self.last_activity + KEEP_ALIVE_GRACE * self.keep_alive_s
-        return None
+        return self.last_activity + KEEP_ALIVE_GRACE * self.keep_alive_s
 
 
 class Broker:
@@ -155,6 +157,7 @@ class Broker:
         self.stats = BrokerStats()
         self._sessions: Dict[str, _Session] = {}  # by client id
         self._unflushed: Set[_Session] = set()  # output queued since the last flush
+        self._timed: Set[_Session] = set()  # the sessions that have a deadline()
         # Every session is read into this one buffer, so recv() allocates
         # nothing. With a fresh 64 KiB bytes per recv(), glibc trimmed the
         # heap in about a quarter of runs (7 to 23 page faults per frame).
@@ -246,7 +249,9 @@ class Broker:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.stats.connections_accepted += 1
-        self._selector.register(sock, selectors.EVENT_READ, _Session(sock, address))
+        session = _Session(sock, address)
+        self._timed.add(session)  # until its CONNECT is in
+        self._selector.register(sock, selectors.EVENT_READ, session)
 
     def _read_guarded(self, session: _Session) -> None:
         # One thread serves every session: a fault handling this one
@@ -275,8 +280,15 @@ class Broker:
         session.last_activity = time.monotonic()
         inbox = session.inbox
         inbox += self._recv_view[:received]
-        while not session.closed:
+        while inbox and not session.closed:
             try:
+                if session.client_id is None and inbox[0] >> 4 != mqtt.PacketType.CONNECT:
+                    raise mqtt.MalformedPacketError("first packet is not CONNECT")
+                total = mqtt.packet_length(inbox)
+                if session.client_id is None and total > mqtt.MAX_CONNECT_LENGTH:
+                    raise mqtt.MalformedPacketError(f"CONNECT of {total} bytes")
+                if len(inbox) < total:
+                    break
                 packet, consumed = mqtt.decode_packet(inbox)
             except mqtt.NeedMoreDataError:
                 break
@@ -293,16 +305,8 @@ class Broker:
         return not session.closed
 
     def _handle(self, session: _Session, packet) -> None:
-        if session.client_id is None:
-            if isinstance(packet, mqtt.Connect):
-                self._register(session, packet)
-            else:
-                log.warning(
-                    "session %s: first packet was %s, closing",
-                    session.name,
-                    type(packet).__name__,
-                )
-                self._close(session, "connect expected first")
+        if session.client_id is None:  # _read lets only a CONNECT through
+            self._register(session, packet)
         elif isinstance(packet, mqtt.Publish):
             self.stats.publishes_received += 1
             self.route(packet)
@@ -350,6 +354,8 @@ class Broker:
             self._close(superseded, "superseded by new connect")
         session.client_id = packet.client_id
         session.keep_alive_s = packet.keep_alive_s
+        if not packet.keep_alive_s:
+            self._timed.discard(session)
         self._sessions[packet.client_id] = session
         self._enqueue(session, mqtt.encode_packet(mqtt.Connack(return_code=0)))
         log.info("session %s connected (keep-alive %ds)", packet.client_id, packet.keep_alive_s)
@@ -363,6 +369,7 @@ class Broker:
         if self._sessions.get(session.client_id) is session:
             del self._sessions[session.client_id]
         self._unflushed.discard(session)
+        self._timed.discard(session)
         self._selector.unregister(session.sock)
         session.sock.close()
 
@@ -370,12 +377,8 @@ class Broker:
         """Close sessions past their deadline; seconds until the next deadline."""
         now = time.monotonic()
         timeout = None
-        for key in list(self._selector.get_map().values()):
-            session = key.data
-            deadline = None if session is None else session.deadline()
-            if deadline is None:
-                continue
-            left = deadline - now
+        for session in list(self._timed):
+            left = session.deadline() - now
             if left < 0:
                 expired = "keep-alive expired" if session.client_id else "no connect in time"
                 self._close(session, expired)

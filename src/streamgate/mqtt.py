@@ -9,7 +9,9 @@ Decoding is incremental: :func:`decode_packet` raises
 :class:`NeedMoreDataError` when the buffer holds only part of a packet
 (keep buffering) and :class:`MalformedPacketError` when the bytes can
 never become a valid packet (drop the connection). The decoder never
-reads past the declared remaining length.
+reads past the declared remaining length. :func:`packet_length` reads
+that length from the fixed header alone, so a reader can wait for the
+whole packet and decode it once.
 
 Out of scope by design: QoS 1/2 delivery state machines, TLS, the
 Connect username/password fields, retained-message persistence, and
@@ -40,11 +42,13 @@ __all__ = [
     "Subscribe",
     "Unsuback",
     "Unsubscribe",
+    "MAX_CONNECT_LENGTH",
     "MAX_REMAINING_LENGTH",
     "decode_packet",
     "decode_remaining_length",
     "encode_packet",
     "encode_remaining_length",
+    "packet_length",
     "publish_header",
     "topic_matches",
     "validate_filter",
@@ -566,20 +570,37 @@ _DECODERS = {
 }
 
 
+def _frame(data) -> Tuple[int, int]:
+    """Where the body of the packet at the start of ``data`` begins and ends."""
+    if len(data) < 1:
+        raise NeedMoreDataError("no fixed header yet")
+    if data[0] >> 4 not in _DECODERS:  # known from the first byte: do not wait for more
+        raise MalformedPacketError(f"unsupported packet type {data[0] >> 4}")
+    remaining, consumed = decode_remaining_length(data[1:5])
+    return 1 + consumed, 1 + consumed + remaining
+
+
+def packet_length(data) -> int:
+    """Total bytes of the packet at the start of ``data``, read from its fixed header.
+
+    Raises :class:`NeedMoreDataError` until the fixed header is in, so a
+    reader can wait for ``packet_length(data)`` bytes and decode once.
+    """
+    return _frame(data)[1]
+
+
 def decode_packet(data) -> Tuple[MqttPacket, int]:
     """Decode one packet from the start of ``data``.
 
     Returns the packet and the number of bytes consumed. Raises
     :class:`NeedMoreDataError` if ``data`` ends before the packet does.
     """
-    if len(data) < 1:
-        raise NeedMoreDataError("no fixed header yet")
+    start, total = _frame(data)
+    if len(data) < total:
+        raise NeedMoreDataError(f"have {len(data)} of {total} bytes")
     view = memoryview(data)
-    decoder = _DECODERS.get(view[0] >> 4)
-    if decoder is None:  # known from the first byte: do not wait for the body
-        raise MalformedPacketError(f"unsupported packet type {view[0] >> 4}")
-    remaining, consumed = decode_remaining_length(view[1:])
-    total = 1 + consumed + remaining
-    if len(view) < total:
-        raise NeedMoreDataError(f"have {len(view)} of {total} bytes")
-    return decoder(view[0] & 0x0F, _Body(view[1 + consumed : total])), total
+    return _DECODERS[view[0] >> 4](view[0] & 0x0F, _Body(view[start:total])), total
+
+
+# The longest client id is the only variable part the decoder accepts.
+MAX_CONNECT_LENGTH = len(encode_packet(Connect(client_id="x" * MAX_STRING_BYTES)))

@@ -263,10 +263,11 @@ def publish_stream(
     Exactly one of the bounds must be given (both is allowed: whichever
     trips first ends the stream). On a refused key the result carries
     ``stats=None`` and no connection attempt is made. A broker that
-    is unreachable raises :class:`ClientError`; a connection lost
-    mid-stream or a failing frame source raises :class:`StreamAborted`
-    with partial stats. Frames are acquired, encoded, paced and sent
-    one at a time on the caller's thread.
+    is unreachable or refuses the session raises :class:`ClientError`,
+    also when the refusal is read after frames were sent; a connection
+    lost mid-stream or a failing frame source raises
+    :class:`StreamAborted` with partial stats. Frames are acquired,
+    encoded, paced and sent one at a time on the caller's thread.
     """
     if max_frames is None and duration_s is None:
         raise ValueError("need a frame-count or duration bound")
@@ -321,7 +322,7 @@ def publish_stream(
         stats = _finish_stats(fps, frames_sent, first_send, last_send)
         raise StreamAborted(f"stream aborted after {frames_sent} frames: {exc}", stats) from exc
     finally:
-        conn.disconnect()
+        conn.disconnect()  # checks the CONNACK first: a refusal replaces any abort
 
     stats = _finish_stats(fps, frames_sent, first_send, last_send)
     log.info(

@@ -622,3 +622,82 @@ def test_socket_without_connect_closed_at_deadline(broker, monkeypatch):
     assert_closed_by_broker(silent)
     assert 0.3 <= time.monotonic() - start <= 2.5
     assert_still_routing(broker)
+
+
+def test_first_byte_that_is_not_connect_closes_at_once(broker):
+    # One byte announces a PUBLISH: no need to wait for its length or body.
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(b"\x30")
+    assert_closed_by_broker(sock, timeout=1.0)
+    assert_still_routing(broker)
+
+
+def test_connect_longer_than_the_codec_accepts_closes_at_once(broker):
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(b"\x10" + mqtt.encode_remaining_length(mqtt.MAX_CONNECT_LENGTH))
+    assert_closed_by_broker(sock, timeout=1.0)
+    # The longest CONNECT the codec accepts still gets in.
+    longest = mqtt.Connect(client_id="x" * mqtt.MAX_STRING_BYTES)
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(mqtt.encode_packet(longest))
+    assert recv_packets(sock, 1) == [mqtt.Connack()]
+    sock.close()
+    assert_still_routing(broker)
+
+
+def test_publish_after_a_rejected_connect_is_not_routed(broker):
+    # MQTT-3.1.4-5: nothing a client sends after a refused CONNECT is processed.
+    sub = connect(broker, "sub")
+    sub.subscribe("t")
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    sock.sendall(
+        mqtt.encode_packet(mqtt.Connect(client_id=""))
+        + mqtt.encode_packet(mqtt.Publish(topic="t", payload=b"smuggled"))
+    )
+    assert_closed_by_broker(sock, timeout=2.0)
+    with pytest.raises(TimeoutError):
+        sub.recv_packet(timeout=0.4)
+    assert broker.stats.publishes_received == 0
+    sub.disconnect()
+
+
+def test_only_sessions_with_a_deadline_are_timed(broker):
+    idle = connect(broker, "no-keep-alive")
+    idle.subscribe("t")
+    live = connect(broker, "keep-alive", keep_alive_s=60)
+    live.subscribe("t")
+    silent = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    wait_until(lambda: len(broker._timed) == 2, what="two timed sessions")
+    assert {session.client_id for session in broker._timed} == {None, "keep-alive"}
+    silent.close()
+    live.disconnect()
+    wait_until(lambda: not broker._timed, what="no timed sessions")
+    idle.disconnect()
+
+
+def test_each_packet_is_decoded_once(broker, monkeypatch):
+    # Frames larger than one recv arrive in pieces on both sides; neither
+    # the broker nor the client parses a packet before all of it is in.
+    calls, incomplete = [], []
+    real_decode = mqtt.decode_packet
+
+    def spy_decode(data):
+        calls.append(len(data))
+        try:
+            return real_decode(data)
+        except mqtt.NeedMoreDataError:
+            incomplete.append(len(data))
+            raise
+
+    monkeypatch.setattr(mqtt, "decode_packet", spy_decode)
+    sub = connect(broker, "sub")
+    sub.subscribe("cam")
+    pub = connect(broker, "pub")
+    payload = bytes(300_000)
+    for _ in range(3):
+        pub.publish("cam", payload)
+        assert sub.recv_packet(timeout=5.0).payload == payload
+    pub.disconnect()
+    sub.disconnect()
+    assert calls
+    assert incomplete == []

@@ -423,3 +423,39 @@ def test_property_any_bytes_decode_or_raise_codec_error(data, tail):
     declared, prefix = mqtt.decode_remaining_length(blob[1:])
     assert consumed == 1 + prefix + declared
     assert mqtt.decode_packet(blob[:consumed]) == (packet, consumed)
+
+
+# -- packet length from the fixed header ------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=PACKETS, tail=st.binary(max_size=8))
+def test_property_packet_length_needs_only_the_fixed_header(packet, tail):
+    wire = mqtt.encode_packet(packet)
+    header = len(wire) - mqtt.decode_remaining_length(wire[1:])[0]
+    stream = wire + tail
+    for cut in range(len(stream) + 1):
+        if cut < header:
+            with pytest.raises(mqtt.NeedMoreDataError):
+                mqtt.packet_length(stream[:cut])
+        else:
+            assert mqtt.packet_length(bytearray(stream[:cut])) == len(wire)
+
+
+def test_packet_length_of_the_largest_publish():
+    assert mqtt.packet_length(b"\x30\xff\xff\xff\x7f") == 5 + mqtt.MAX_REMAINING_LENGTH
+
+
+@pytest.mark.parametrize("first", [0x00, 0xF0])
+def test_packet_length_rejects_unknown_type_from_first_byte(first):
+    with pytest.raises(mqtt.MalformedPacketError):
+        mqtt.packet_length(bytes([first]))
+
+
+def test_max_connect_length_is_the_longest_connect_that_decodes():
+    widest = mqtt.encode_packet(mqtt.Connect(client_id="x" * mqtt.MAX_STRING_BYTES))
+    assert mqtt.decode_packet(widest)[1] == len(widest) == mqtt.MAX_CONNECT_LENGTH
+    body = widest[4:]  # after a 3-byte remaining length
+    longer = b"\x10" + mqtt.encode_remaining_length(len(body) + 1) + body + b"x"
+    with pytest.raises(mqtt.MalformedPacketError):
+        mqtt.decode_packet(longer)
