@@ -17,8 +17,10 @@ outbox (8 MiB by default) gets one new header and the payload object
 as received. When it is full, new messages for that session are
 dropped rather than queued, because a live video stream wants
 freshness, not completeness. The same bound caps a session's unparsed
-input. A socket must open with a CONNECT no longer than the codec
-accepts, and within ``CONNECT_TIMEOUT_S``, or it is closed.
+input: a session whose packet declares more is closed as soon as that
+packet's fixed header is in. A socket must open with a CONNECT no
+longer than the codec accepts, and within ``CONNECT_TIMEOUT_S``, or it
+is closed.
 
 Log lines carry client ids, topics, and byte counts only, never
 payload content.
@@ -287,6 +289,8 @@ class Broker:
                 total = mqtt.packet_length(inbox)
                 if session.client_id is None and total > mqtt.MAX_CONNECT_LENGTH:
                     raise mqtt.MalformedPacketError(f"CONNECT of {total} bytes")
+                if total > self.max_session_buffer:  # could never be forwarded
+                    raise mqtt.MalformedPacketError(f"packet of {total} bytes")
                 if len(inbox) < total:
                     break
                 packet, consumed = mqtt.decode_packet(inbox)
@@ -298,10 +302,6 @@ class Broker:
                 break
             del inbox[:consumed]
             self._handle(session, packet)
-        if len(inbox) > self.max_session_buffer and not session.closed:
-            # No whole packet in it: one this large could never be forwarded.
-            log.warning("session %s: packet over %d bytes", session.name, self.max_session_buffer)
-            self._close(session, "packet too large")
         return not session.closed
 
     def _handle(self, session: _Session, packet) -> None:

@@ -10,23 +10,39 @@ publisher's first frame travels in the same round trip as its CONNECT.
 The first call that reads takes the CONNACK and checks it: receiving,
 subscribing (after its SUBSCRIBE is sent), disconnecting and closing.
 A refusal raises :class:`ClientError` there.
+
+The calls block, but the socket under them does not. A send, and a
+read while part of a packet is in, is tried first; the connection
+waits for the socket only when it is full or has nothing to give, or
+before a read with nothing buffered. One read takes whatever the
+socket holds, into a buffer that grows from 64 KiB to 1 MiB while
+reads keep filling it. The ``timeout`` of
+:meth:`MqttConnection.recv_packet` bounds the whole call, however the
+packet trickles in. A packet that declares more than
+:data:`MAX_PACKET_LENGTH` (8 MiB, the most the embedded broker
+forwards) ends the connection before it is buffered.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import select
 import socket
+import time
 from collections import deque
 from typing import Optional
 
 from . import mqtt
 
-__all__ = ["ClientError", "MqttConnection"]
+__all__ = ["MAX_PACKET_LENGTH", "ClientError", "MqttConnection"]
 
 log = logging.getLogger(__name__)
 
-_RECV_CHUNK = 65536
+# Equal to the broker's DEFAULT_SESSION_BUFFER: it never forwards a larger packet.
+MAX_PACKET_LENGTH = 8 * 1024 * 1024
+_RECV_FIRST = 64 * 1024  # receive buffer size at connect
+_RECV_MAX = 1024 * 1024  # ... doubled while reads fill it, up to this
 
 
 class ClientError(Exception):
@@ -58,10 +74,10 @@ class MqttConnection:
         self.keep_alive_s = keep_alive_s
         self._connect_timeout = connect_timeout
         self._sock: Optional[socket.socket] = None
-        self._timeout: Optional[float] = None  # the socket's, as last set
+        self._readable: Optional[select.poll] = None  # polls _sock for input
         self._connack_due = False
         self._buffer = bytearray()
-        self._recv_view = memoryview(bytearray(_RECV_CHUNK))  # every recv lands here
+        self._recv_view = memoryview(bytearray(_RECV_FIRST))  # every recv lands here
         self._pending: deque = deque()
 
     def __enter__(self) -> "MqttConnection":
@@ -78,12 +94,15 @@ class MqttConnection:
     def connect(self) -> None:
         """Open the TCP connection and send CONNECT; the CONNACK is read later."""
         try:
-            self._sock = socket.create_connection(
+            sock = socket.create_connection(
                 (self.host, self.port), timeout=self._connect_timeout
             )
         except OSError as exc:
             raise ClientError(f"cannot reach broker at {self.host}:{self.port}: {exc}") from exc
-        self._timeout = self._connect_timeout
+        sock.setblocking(False)
+        self._sock = sock
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
         connect = mqtt.Connect(self.client_id, self.keep_alive_s, clean_session=True)
         self._send(mqtt.encode_packet(connect))
         self._connack_due = True
@@ -96,7 +115,7 @@ class MqttConnection:
         subscribe = mqtt.Subscribe(packet_id=packet_id, filters=((topic_filter, 0),))
         self._send(mqtt.encode_packet(subscribe))
         self._settle()  # after the SUBSCRIBE: it shares the CONNECT's round trip
-        ack = self._await_packet(mqtt.Suback, timeout=self._connect_timeout)
+        ack = self._await_packet(mqtt.Suback, time.monotonic() + self._connect_timeout)
         if ack is None:
             raise ClientError("broker closed the connection during subscribe")
         if ack.packet_id != packet_id:
@@ -112,14 +131,16 @@ class MqttConnection:
         """Return the next packet, or None once the peer has closed or
         sent bytes that are not a valid packet.
 
-        Raises TimeoutError if nothing arrives within ``timeout``, and
-        ClientError if the CONNACK, read first, refuses the session.
+        Raises TimeoutError if no whole packet is in within ``timeout``
+        seconds of the call, and ClientError if the CONNACK, read first,
+        refuses the session.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         if self._connack_due:
-            self._check_connack(timeout)
+            self._check_connack(deadline)
         if self._pending:
             return self._pending.popleft()
-        return self._read_packet(timeout)
+        return self._read_packet(deadline)
 
     def disconnect(self) -> None:
         """Polite shutdown: check a CONNACK still due, send DISCONNECT, then
@@ -152,12 +173,12 @@ class MqttConnection:
         """Check a CONNACK still due, waiting no longer than the connect timeout."""
         if self._connack_due:
             try:
-                self._check_connack(self._connect_timeout)
+                self._check_connack(time.monotonic() + self._connect_timeout)
             except TimeoutError:
                 raise ClientError(f"no CONNACK within {self._connect_timeout} s") from None
 
-    def _check_connack(self, timeout: Optional[float]) -> None:
-        ack = self._await_packet(mqtt.Connack, timeout)
+    def _check_connack(self, deadline: Optional[float]) -> None:
+        ack = self._await_packet(mqtt.Connack, deadline)
         self._connack_due = False
         if ack is None:
             raise ClientError("broker closed the connection during handshake")
@@ -168,6 +189,8 @@ class MqttConnection:
     def _drop(self) -> None:
         """Close the socket at once, whatever is left unread."""
         self._connack_due = False
+        self._buffer.clear()
+        self._readable = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -177,29 +200,40 @@ class MqttConnection:
 
     def _send(self, *buffers: bytes) -> None:
         """Send the buffers in order, in one system call unless the socket is full."""
-        if self._sock is None:
+        sock = self._sock
+        if sock is None:
             raise ClientError("not connected")
         try:
-            sent = self._sock.sendmsg(buffers)
-            for buf in buffers:  # a socket with a timeout may take only part
-                if sent < len(buf):
-                    self._sock.sendall(memoryview(buf)[sent:])
+            try:
+                sent = sock.sendmsg(buffers)
+            except BlockingIOError:
+                sent = 0
+            for buf in buffers:
+                if sent < len(buf):  # the socket is full: wait for it to take the rest
+                    sock.settimeout(self._connect_timeout)
+                    try:
+                        sock.sendall(memoryview(buf)[sent:])
+                    finally:
+                        sock.setblocking(False)
                 sent = max(sent - len(buf), 0)
         except OSError as exc:
             if not self._connack_due:  # else keep it, so a refusal can still be read
                 self._drop()
             raise ClientError(f"send failed: {exc}") from exc
 
-    def _read_packet(self, timeout: Optional[float]):
+    def _read_packet(self, deadline: Optional[float]):
+        """Return the next packet, reading until it is whole or ``deadline`` passes."""
         if self._sock is None:
             return None
-        if timeout != self._timeout:  # settimeout costs two fcntl calls
-            self._sock.settimeout(timeout)
-            self._timeout = timeout
         buffer = self._buffer
         while True:
             try:
-                if len(buffer) >= mqtt.packet_length(buffer):  # decode each packet once
+                total = mqtt.packet_length(buffer)
+                if total > MAX_PACKET_LENGTH:
+                    raise mqtt.MalformedPacketError(
+                        f"packet of {total} bytes, over {MAX_PACKET_LENGTH}"
+                    )
+                if len(buffer) >= total:  # decode each packet once
                     packet, consumed = mqtt.decode_packet(buffer)
                     del buffer[:consumed]
                     return packet
@@ -208,25 +242,40 @@ class MqttConnection:
             except mqtt.MalformedPacketError as exc:
                 # Nothing after bad framing can be trusted: end the session
                 # as if the peer had closed it.
-                log.warning("malformed packet from broker, closing: %s", exc)
+                log.warning("bad packet from broker, closing: %s", exc)
                 self._drop()
                 return None
+            view = self._recv_view
+            if not buffer:
+                # The last read ended on a packet boundary, so the socket is
+                # most likely empty: on an idle stream a read that finds it so
+                # costs more than the wait that must follow it anyway.
+                self._wait_readable(deadline)
             try:
-                received = self._sock.recv_into(self._recv_view)
-            except socket.timeout:
-                raise TimeoutError("no packet within timeout") from None
+                received = self._sock.recv_into(view)
+            except BlockingIOError:
+                self._wait_readable(deadline)
+                continue
             except OSError:
                 self._drop()
                 return None
             if not received:
                 self._drop()
                 return None
-            buffer += self._recv_view[:received]
+            buffer += view[:received]
+            if received == len(view) and received < _RECV_MAX:  # more may be waiting
+                self._recv_view = memoryview(bytearray(2 * received))
 
-    def _await_packet(self, packet_cls, timeout: float):
+    def _wait_readable(self, deadline: Optional[float]) -> None:
+        """Wait until the socket has input; TimeoutError once ``deadline`` passes."""
+        left_ms = None if deadline is None else max((deadline - time.monotonic()) * 1000, 0)
+        if not self._readable.poll(left_ms):
+            raise TimeoutError("no packet within timeout")
+
+    def _await_packet(self, packet_cls, deadline: Optional[float]):
         """Read until a packet of the wanted class arrives; queue the rest."""
         while True:
-            packet = self._read_packet(timeout)
+            packet = self._read_packet(deadline)
             if packet is None:
                 return None
             if isinstance(packet, packet_cls):

@@ -11,7 +11,8 @@ Decoding is incremental: :func:`decode_packet` raises
 never become a valid packet (drop the connection). The decoder never
 reads past the declared remaining length. :func:`packet_length` reads
 that length from the fixed header alone, so a reader can wait for the
-whole packet and decode it once.
+whole packet and decode it once. A first byte with an unknown type, or
+with flags its type does not allow, is malformed on its own.
 
 Out of scope by design: QoS 1/2 delivery state machines, TLS, the
 Connect username/password fields, retained-message persistence, and
@@ -434,9 +435,7 @@ class _Body:
             raise MalformedPacketError(f"trailing bytes after {what}")
 
 
-def _decode_connect(flags: int, body: _Body) -> Connect:
-    if flags != 0:
-        raise MalformedPacketError("connect fixed-header flags must be 0")
+def _decode_connect(_flags: int, body: _Body) -> Connect:
     if body.string("protocol name") != "MQTT":
         raise MalformedPacketError("protocol-name mismatch in connect")
     if body.u8() != 4:
@@ -458,9 +457,7 @@ def _decode_connect(flags: int, body: _Body) -> Connect:
     )
 
 
-def _decode_connack(flags: int, body: _Body) -> Connack:
-    if flags != 0:
-        raise MalformedPacketError("connack flags must be 0")
+def _decode_connack(_flags: int, body: _Body) -> Connack:
     ack_flags = body.u8()
     if ack_flags & 0xFE:
         raise MalformedPacketError("connack acknowledge flags malformed")
@@ -487,9 +484,7 @@ def _decode_publish(flags: int, body: _Body) -> Publish:
     return Publish(topic=topic, payload=body.rest(), retain=bool(flags & 0x01))
 
 
-def _decode_subscribe(flags: int, body: _Body) -> Subscribe:
-    if flags != 0x02:
-        raise MalformedPacketError("subscribe flags must be 0b0010")
+def _decode_subscribe(_flags: int, body: _Body) -> Subscribe:
     packet_id = body.u16()
     if packet_id == 0:
         raise MalformedPacketError("packet id 0 is not allowed")
@@ -507,9 +502,7 @@ def _decode_subscribe(flags: int, body: _Body) -> Subscribe:
     return Subscribe(packet_id=packet_id, filters=tuple(filters))
 
 
-def _decode_suback(flags: int, body: _Body) -> Suback:
-    if flags != 0:
-        raise MalformedPacketError("suback flags must be 0")
+def _decode_suback(_flags: int, body: _Body) -> Suback:
     packet_id = body.u16()
     if packet_id == 0:
         raise MalformedPacketError("packet id 0 is not allowed")
@@ -522,9 +515,7 @@ def _decode_suback(flags: int, body: _Body) -> Suback:
     return Suback(packet_id=packet_id, granted=tuple(granted))
 
 
-def _decode_unsubscribe(flags: int, body: _Body) -> Unsubscribe:
-    if flags != 0x02:
-        raise MalformedPacketError("unsubscribe flags must be 0b0010")
+def _decode_unsubscribe(_flags: int, body: _Body) -> Unsubscribe:
     packet_id = body.u16()
     if packet_id == 0:
         raise MalformedPacketError("packet id 0 is not allowed")
@@ -539,9 +530,7 @@ def _decode_unsubscribe(flags: int, body: _Body) -> Unsubscribe:
     return Unsubscribe(packet_id=packet_id, filters=tuple(filters))
 
 
-def _decode_unsuback(flags: int, body: _Body) -> Unsuback:
-    if flags != 0:
-        raise MalformedPacketError("unsuback flags must be 0")
+def _decode_unsuback(_flags: int, body: _Body) -> Unsuback:
     packet_id = body.u16()
     if packet_id == 0:
         raise MalformedPacketError("packet id 0 is not allowed")
@@ -549,9 +538,7 @@ def _decode_unsuback(flags: int, body: _Body) -> Unsuback:
     return Unsuback(packet_id=packet_id)
 
 
-def _decode_empty(cls, name: str, flags: int, body: _Body):
-    if flags != 0:
-        raise MalformedPacketError(f"{name} flags must be 0")
+def _decode_empty(cls, name: str, body: _Body):
     body.expect_end(name)
     return cls()
 
@@ -564,18 +551,29 @@ _DECODERS = {
     PacketType.SUBACK: _decode_suback,
     PacketType.UNSUBSCRIBE: _decode_unsubscribe,
     PacketType.UNSUBACK: _decode_unsuback,
-    PacketType.PINGREQ: lambda f, b: _decode_empty(Pingreq, "pingreq", f, b),
-    PacketType.PINGRESP: lambda f, b: _decode_empty(Pingresp, "pingresp", f, b),
-    PacketType.DISCONNECT: lambda f, b: _decode_empty(Disconnect, "disconnect", f, b),
+    PacketType.PINGREQ: lambda _f, b: _decode_empty(Pingreq, "pingreq", b),
+    PacketType.PINGRESP: lambda _f, b: _decode_empty(Pingresp, "pingresp", b),
+    PacketType.DISCONNECT: lambda _f, b: _decode_empty(Disconnect, "disconnect", b),
 }
+
+# The fixed-header flags of every type but PUBLISH, which carries its own
+# there (MQTT 3.1.1 section 2.2.2).
+_FIXED_FLAGS = {t: 0 for t in PacketType if t != PacketType.PUBLISH}
+_FIXED_FLAGS[PacketType.SUBSCRIBE] = _FIXED_FLAGS[PacketType.UNSUBSCRIBE] = 0x02
 
 
 def _frame(data) -> Tuple[int, int]:
     """Where the body of the packet at the start of ``data`` begins and ends."""
     if len(data) < 1:
         raise NeedMoreDataError("no fixed header yet")
-    if data[0] >> 4 not in _DECODERS:  # known from the first byte: do not wait for more
-        raise MalformedPacketError(f"unsupported packet type {data[0] >> 4}")
+    # Type and flags are known from the first byte: do not wait for more.
+    packet_type, flags = data[0] >> 4, data[0] & 0x0F
+    if packet_type not in _DECODERS:
+        raise MalformedPacketError(f"unsupported packet type {packet_type}")
+    if _FIXED_FLAGS.get(packet_type, flags) != flags:
+        raise MalformedPacketError(
+            f"{PacketType(packet_type).name} flags must be {_FIXED_FLAGS[packet_type]:#06b}"
+        )
     remaining, consumed = decode_remaining_length(data[1:5])
     return 1 + consumed, 1 + consumed + remaining
 

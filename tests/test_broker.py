@@ -491,6 +491,38 @@ def test_random_bytes_close_only_the_offending_session(junk):
         sub.disconnect()
 
 
+# First bytes of every type, with the flags it allows.
+_FIRST_BYTES = [0x10, 0x20, 0x30, 0x31, 0x3B, 0x82, 0x90, 0xA2, 0xB0, 0xC0, 0xD0, 0xE0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=st.sampled_from(_FIRST_BYTES),
+    declared=st.integers(broker_module.DEFAULT_SESSION_BUFFER, mqtt.MAX_REMAINING_LENGTH),
+    body=st.binary(max_size=256),
+)
+def test_large_declared_lengths_close_only_the_offending_session(first, declared, body):
+    # A packet no session buffer could hold ends its session from the fixed
+    # header on, without waiting for its body or for the end of input.
+    with Broker("127.0.0.1", 0) as broker:
+        sub = connect(broker, "sub")
+        sub.subscribe("t")
+        sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+        sock.sendall(
+            mqtt.encode_packet(mqtt.Connect(client_id="fuzz"))
+            + bytes([first])
+            + mqtt.encode_remaining_length(declared)
+            + body
+        )
+        assert_closed_by_broker(sock, timeout=2.0)
+
+        pub = connect(broker, "pub")
+        pub.publish("t", b"after")
+        assert sub.recv_packet(timeout=2.0) == mqtt.Publish(topic="t", payload=b"after")
+        pub.disconnect()
+        sub.disconnect()
+
+
 # -- forwarding -------------------------------------------------------------------
 
 
@@ -598,6 +630,22 @@ def test_oversized_packet_without_connect_closes_session(broker):
         sock.sendall(b"\x30\xff\xff\xff\x7f")
         for _ in range(40):
             sock.sendall(bytes(1 << 20))
+    assert_closed_by_broker(sock)
+    assert_still_routing(broker)
+
+
+def test_oversized_packet_after_connect_closes_session_at_once(broker):
+    # The header alone says the packet could never be forwarded: the broker
+    # must not buffer a session buffer's worth of its body first.
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5.0)
+    sock.sendall(mqtt.encode_packet(mqtt.Connect(client_id="big")))
+    assert recv_packets(sock, 1) == [mqtt.Connack()]
+    sent = 0
+    with pytest.raises(OSError):  # reset before 1 MiB of body is in
+        sock.sendall(b"\x30\xff\xff\xff\x7f")
+        while sent < 1 << 20:
+            time.sleep(0.02)
+            sent += sock.send(bytes(64 << 10))
     assert_closed_by_broker(sock)
     assert_still_routing(broker)
 

@@ -8,10 +8,12 @@ import time
 import pytest
 
 from streamgate import mqtt
-from streamgate.client import ClientError, MqttConnection
+from streamgate.broker import DEFAULT_SESSION_BUFFER
+from streamgate.client import MAX_PACKET_LENGTH, ClientError, MqttConnection
 from streamgate.enclave import provision
 from streamgate.keystore import GatewayConfig
 from streamgate.pipeline import SyntheticFrameSource, publish_stream
+from streamgate.subscriber import subscribe_and_collect
 
 SECRET = bytes(range(100, 132))
 
@@ -263,3 +265,102 @@ def test_close_without_a_connack_gives_up_after_the_connect_timeout():
     assert 0.25 <= time.monotonic() - start <= 2.0
     assert not conn.connected
     assert result() == []
+
+
+# -- what a broker can make the client hold or wait for -----------------------------
+
+
+def test_packet_over_the_cap_closes_before_it_is_buffered(monkeypatch):
+    # The header declares 256 MiB; the client must not wait for it, or
+    # hold the 4 MiB that follow it, before giving up.
+    reads = []
+    real_recv_into = socket.socket.recv_into
+
+    def spy_recv_into(sock, *args):
+        received = real_recv_into(sock, *args)
+        reads.append(received)
+        return received
+
+    def script(peer):
+        peer.read(1)
+        peer.send(mqtt.Connack())
+        try:
+            peer.sock.sendall(b"\x30\xff\xff\xff\x7f" + bytes(4 << 20))
+            return peer.sock.recv(1)
+        except ConnectionError:  # reset: the client closed with bytes unread
+            return b""
+
+    port, result = serve_one(script)
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    monkeypatch.setattr(socket.socket, "recv_into", spy_recv_into)
+    assert conn.recv_packet(timeout=5.0) is None
+    monkeypatch.undo()
+    assert not conn.connected
+    assert result() == b""
+    assert sum(reads) < 1 << 20
+
+
+def test_packet_cap_is_the_most_the_embedded_broker_forwards():
+    assert MAX_PACKET_LENGTH == DEFAULT_SESSION_BUFFER
+
+
+# 45 bytes on the wire, sent one byte per 0.1 s after the handshake.
+TRICKLED = mqtt.encode_packet(mqtt.Publish(topic="t", payload=bytes(40)))
+
+
+def trickle_after(*answers):
+    """A server script: read one packet per answer, send the answers, then
+    trickle TRICKLED until it is out or the client has gone."""
+
+    def script(peer):
+        peer.read(len(answers))
+        peer.send(*answers)
+        try:
+            for byte in TRICKLED:
+                time.sleep(0.1)
+                peer.sock.sendall(bytes([byte]))
+        except OSError:
+            pass
+
+    return script
+
+
+def test_recv_timeout_bounds_the_whole_call_not_each_read():
+    port, result = serve_one(trickle_after(mqtt.Connack()))
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        conn.recv_packet(timeout=0.3)
+    assert time.monotonic() - start < 0.6
+    conn.close()
+    result()
+
+
+def test_a_timed_out_packet_is_returned_whole_by_a_later_call():
+    port, result = serve_one(trickle_after(mqtt.Connack()))
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    timeouts = 0
+    while True:
+        try:
+            packet = conn.recv_packet(timeout=0.3)
+            break
+        except TimeoutError:
+            timeouts += 1
+    assert packet == mqtt.decode_packet(TRICKLED)[0]
+    assert timeouts >= 5  # the packet took about 4.5 s
+    conn.close()
+    result()
+
+
+def test_a_trickling_broker_cannot_hold_a_subscriber_past_its_duration():
+    port, result = serve_one(
+        trickle_after(mqtt.Connack(), mqtt.Suback(packet_id=1, granted=(0,)))
+    )
+    start = time.monotonic()
+    report = subscribe_and_collect("127.0.0.1", port, "t", duration_s=0.5)
+    assert time.monotonic() - start < 2.0
+    assert report.frames_received == 0
+    result()

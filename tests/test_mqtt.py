@@ -203,6 +203,16 @@ def _body(packet: mqtt.MqttPacket) -> bytes:
         (b"\xb0\x02\x00\x00", "unsuback packet id zero"),
         (b"\xb0\x01\x00", "unsuback body truncated"),
         (b"\xb0\x03\x00\x01\x00", "unsuback trailing byte"),
+        (b"\x11", "connect flags nonzero, from the first byte"),
+        (b"\x1f\xff\xff\xff\x7f", "connect flags nonzero, huge length"),
+        (b"\x28\x02\x00\x00", "connack flags nonzero"),
+        (b"\x83", "subscribe flags 3, from the first byte"),
+        (b"\x92\x03\x00\x01\x00", "suback flags nonzero"),
+        (b"\xa0", "unsubscribe flags 0, from the first byte"),
+        (b"\xb2", "unsuback flags nonzero, from the first byte"),
+        (b"\xc2", "pingreq flags nonzero, from the first byte"),
+        (b"\xd1\x00", "pingresp flags nonzero"),
+        (b"\xe8\x00", "disconnect flags nonzero"),
     ],
 )
 def test_malformed_inputs_rejected(raw, why):
@@ -440,6 +450,29 @@ def test_property_packet_length_needs_only_the_fixed_header(packet, tail):
                 mqtt.packet_length(stream[:cut])
         else:
             assert mqtt.packet_length(bytearray(stream[:cut])) == len(wire)
+
+
+# MQTT 3.1.1 section 2.2.2: the flags each type but PUBLISH must carry.
+_FIXED_FLAGS = {1: 0, 2: 0, 8: 0b0010, 9: 0, 10: 0b0010, 11: 0, 12: 0, 13: 0, 14: 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=PACKETS, flags=st.integers(0, 15), tail=st.binary(max_size=8))
+def test_property_packet_length_judges_the_flags_from_the_first_byte(packet, flags, tail):
+    wire = bytearray(mqtt.encode_packet(packet))
+    wire[0] = wire[0] & 0xF0 | flags
+    allowed = _FIXED_FLAGS.get(wire[0] >> 4, flags) == flags
+    header = len(wire) - mqtt.decode_remaining_length(wire[1:])[0]
+    stream = bytes(wire) + tail
+    for cut in range(1, len(stream) + 1):
+        if not allowed:
+            with pytest.raises(mqtt.MalformedPacketError):
+                mqtt.packet_length(stream[:cut])
+        elif cut < header:
+            with pytest.raises(mqtt.NeedMoreDataError):
+                mqtt.packet_length(stream[:cut])
+        else:
+            assert mqtt.packet_length(stream[:cut]) == len(wire)
 
 
 def test_packet_length_of_the_largest_publish():
