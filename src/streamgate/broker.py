@@ -12,15 +12,15 @@ session socket. That thread owns all broker state, so nothing is
 locked. Each select batch is handled in full before any output is
 flushed.
 
-A PUBLISH is never re-encoded: every matching session's bounded
-outbox (8 MiB by default) gets one new header and the payload object
-as received. When it is full, new messages for that session are
-dropped rather than queued, because a live video stream wants
-freshness, not completeness. The same bound caps a session's unparsed
-input: a session whose packet declares more is closed as soon as that
-packet's fixed header is in. A socket must open with a CONNECT no
-longer than the codec accepts, and within ``CONNECT_TIMEOUT_S``, or it
-is closed.
+A PUBLISH is never re-encoded: every matching session's outbox gets one
+new header and the payload object as received. The outbox holds at most
+``mqtt.MAX_PACKET_LENGTH`` (8 MiB); when it is full, new messages for
+that session are dropped rather than queued, because a live video
+stream wants freshness, not completeness. Sessions read through their
+own ``mqtt.PacketReader`` into one shared 64 KiB buffer; one whose
+packet declares more than 8 MiB is closed once its fixed header is in.
+A socket must open with a CONNECT no longer than the codec accepts, and
+within ``CONNECT_TIMEOUT_S``, or it is closed.
 
 Log lines carry client ids, topics, and byte counts only, never
 payload content.
@@ -42,10 +42,8 @@ __all__ = ["Broker", "BrokerStats", "SubscriptionTable", "serve"]
 log = logging.getLogger(__name__)
 
 DEFAULT_PORT = 1883
-DEFAULT_SESSION_BUFFER = 8 * 1024 * 1024
 KEEP_ALIVE_GRACE = 1.5
 CONNECT_TIMEOUT_S = 10.0  # from accept to CONNECT, MQTT 3.1.1 section 3.1.4
-_RECV_CHUNK = 65536
 _IOV_MAX = 1024  # buffers per sendmsg call, the Linux and BSD limit
 
 
@@ -108,15 +106,15 @@ class SubscriptionTable:
 
 
 class _Session:
-    """One client connection: its socket, unparsed input and outbox."""
+    """One client connection: its socket, packet reader and outbox."""
 
-    def __init__(self, sock: socket.socket, address):
+    def __init__(self, sock: socket.socket, address, read_buffer: bytearray):
         self.sock = sock
         self.address = address
         self.client_id: Optional[str] = None  # set once CONNECT is accepted
         self.keep_alive_s = 0
         self.accepted_at = self.last_activity = time.monotonic()
-        self.inbox = bytearray()
+        self.reader = mqtt.PacketReader(read_buffer)
         # Wire bytes, never copied: a forwarded PUBLISH is its header and
         # then its payload. The head may be the unsent tail of a partial send.
         self.outbox: List[Union[bytes, memoryview]] = []
@@ -144,27 +142,18 @@ class Broker:
     ``port=0`` binds an ephemeral port; read :attr:`port` after start.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        *,
-        max_session_buffer: int = DEFAULT_SESSION_BUFFER,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         self.host = host
         self._requested_port = port
         self._port: Optional[int] = None
-        self.max_session_buffer = max_session_buffer
         self.table = SubscriptionTable()
         self.stats = BrokerStats()
         self._sessions: Dict[str, _Session] = {}  # by client id
         self._unflushed: Set[_Session] = set()  # output queued since the last flush
         self._timed: Set[_Session] = set()  # the sessions that have a deadline()
-        # Every session is read into this one buffer, so recv() allocates
-        # nothing. With a fresh 64 KiB bytes per recv(), glibc trimmed the
-        # heap in about a quarter of runs (7 to 23 page faults per frame).
-        self._recv_buf = bytearray(_RECV_CHUNK)
-        self._recv_view = memoryview(self._recv_buf)
+        # One read buffer for all sessions: buffers per session, or reads over
+        # 64 KiB, let glibc trim the heap and fault it back in as sessions churn.
+        self._read_buffer = bytearray(64 * 1024)
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._waker: Optional[socket.socket] = None
@@ -251,7 +240,7 @@ class Broker:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.stats.connections_accepted += 1
-        session = _Session(sock, address)
+        session = _Session(sock, address, self._read_buffer)
         self._timed.add(session)  # until its CONNECT is in
         self._selector.register(sock, selectors.EVENT_READ, session)
 
@@ -265,12 +254,12 @@ class Broker:
             self._close(session, "internal error")
 
     def _read(self, session: _Session) -> bool:
-        """Receive one chunk and handle each whole packet in it.
+        """Receive once and handle each whole packet now in.
 
         Returns False once the socket has nothing more to give.
         """
         try:
-            received = session.sock.recv_into(self._recv_buf)
+            received = session.reader.recv(session.sock)
         except BlockingIOError:
             return False
         except OSError:
@@ -280,27 +269,20 @@ class Broker:
             self._close(session, "peer closed")
             return False
         session.last_activity = time.monotonic()
-        inbox = session.inbox
-        inbox += self._recv_view[:received]
-        while inbox and not session.closed:
+        while not session.closed:
             try:
-                if session.client_id is None and inbox[0] >> 4 != mqtt.PacketType.CONNECT:
+                if session.client_id is not None:
+                    packet = session.reader.next(mqtt.MAX_PACKET_LENGTH)
+                elif session.reader.pending[0] >> 4 == mqtt.PacketType.CONNECT:
+                    packet = session.reader.next(mqtt.MAX_CONNECT_LENGTH)
+                else:  # nothing is consumed before CONNECT, so pending[0] is the first byte
                     raise mqtt.MalformedPacketError("first packet is not CONNECT")
-                total = mqtt.packet_length(inbox)
-                if session.client_id is None and total > mqtt.MAX_CONNECT_LENGTH:
-                    raise mqtt.MalformedPacketError(f"CONNECT of {total} bytes")
-                if total > self.max_session_buffer:  # could never be forwarded
-                    raise mqtt.MalformedPacketError(f"packet of {total} bytes")
-                if len(inbox) < total:
-                    break
-                packet, consumed = mqtt.decode_packet(inbox)
-            except mqtt.NeedMoreDataError:
-                break
             except mqtt.MalformedPacketError as exc:
                 log.warning("session %s: malformed packet: %s", session.name, exc)
                 self._close(session, "malformed packet")
                 break
-            del inbox[:consumed]
+            if packet is None:
+                break
             self._handle(session, packet)
         return not session.closed
 
@@ -391,7 +373,7 @@ class Broker:
     def _enqueue(self, session: _Session, *data: bytes) -> bool:
         """Queue the parts of one packet for the next flush; False means dropped (full)."""
         size = sum(map(len, data))
-        if session.outbox_bytes + size > self.max_session_buffer:
+        if session.outbox_bytes + size > mqtt.MAX_PACKET_LENGTH:
             return False
         if not session.outbox:  # else a flush is already due or awaits EVENT_WRITE
             self._unflushed.add(session)
@@ -449,6 +431,6 @@ class Broker:
                 )
 
 
-def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT, **kwargs) -> Broker:
+def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> Broker:
     """Bind and start a broker; returns the running handle."""
-    return Broker(host, port, **kwargs).start()
+    return Broker(host, port).start()

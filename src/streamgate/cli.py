@@ -7,8 +7,9 @@
     streamgate bench     --seed 0 --report bench.txt
 
 Exit codes: 0 success / authorized, 1 authorization refused, 2 bad
-input (config, credentials, provisioning, unreachable files). Long
-running commands shut down cleanly on Ctrl-C and flush their stats.
+input (config, credentials, provisioning, unreachable files, option
+values out of range). Long running commands shut down cleanly on
+Ctrl-C and flush their stats.
 """
 
 from __future__ import annotations
@@ -32,6 +33,29 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_BAD_INPUT = 2
+
+
+def _checked(parse, ok, rule: str):
+    """An argparse ``type=``: ``parse`` the text, then require ``ok(value)``."""
+
+    def convert(raw: str):
+        try:
+            value = parse(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
+        return value
+
+    return convert
+
+
+# The ranges of keystore's camera.fps and mqtt.port keys; a port of 0 binds any free one.
+_FPS = _checked(float, lambda v: v > 0, "a positive number")
+_PORT = _checked(int, lambda v: 1 <= v <= 65535, "in [1, 65535]")
+_BIND_PORT = _checked(int, lambda v: 0 <= v <= 65535, "in [0, 65535]")
+_FRAMES = _checked(int, lambda v: v >= 0, "a whole number >= 0")
+_SECONDS = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
 
 
 def _load_config(path: Optional[str]) -> GatewayConfig:
@@ -203,25 +227,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream = sub.add_parser("stream", help="publish an authenticated frame stream")
     add_common(p_stream, provision=True)
     p_stream.add_argument("--host")
-    p_stream.add_argument("--port", type=int)
+    p_stream.add_argument("--port", type=_PORT)
     p_stream.add_argument("--topic")
-    p_stream.add_argument("--fps", type=float)
-    p_stream.add_argument("--frames", type=int)
-    p_stream.add_argument("--duration", type=float)
+    p_stream.add_argument("--fps", type=_FPS)
+    p_stream.add_argument("--frames", type=_FRAMES)
+    p_stream.add_argument("--duration", type=_SECONDS)
     p_stream.set_defaults(func=cmd_stream)
 
     p_sub = sub.add_parser("subscribe", help="collect frames from a topic")
     p_sub.add_argument("--host", default="localhost")
-    p_sub.add_argument("--port", type=int, default=broker_mod.DEFAULT_PORT)
+    p_sub.add_argument("--port", type=_PORT, default=broker_mod.DEFAULT_PORT)
     p_sub.add_argument("--topic", default="camera/stream")
-    p_sub.add_argument("--frames", type=int)
-    p_sub.add_argument("--duration", type=float)
+    p_sub.add_argument("--frames", type=_FRAMES)
+    p_sub.add_argument("--duration", type=_SECONDS)
     p_sub.add_argument("--sink", help="directory for received frames")
     p_sub.set_defaults(func=cmd_subscribe)
 
     p_broker = sub.add_parser("broker", help="run the embedded broker")
     p_broker.add_argument("--host", default="127.0.0.1")
-    p_broker.add_argument("--port", type=int, default=broker_mod.DEFAULT_PORT)
+    p_broker.add_argument("--port", type=_BIND_PORT, default=broker_mod.DEFAULT_PORT)
     p_broker.set_defaults(func=cmd_broker)
 
     p_bench = sub.add_parser("bench", help="run the benchmark suite")

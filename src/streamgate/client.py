@@ -14,13 +14,11 @@ A refusal raises :class:`ClientError` there.
 The calls block, but the socket under them does not. A send, and a
 read while part of a packet is in, is tried first; the connection
 waits for the socket only when it is full or has nothing to give, or
-before a read with nothing buffered. One read takes whatever the
-socket holds, into a buffer that grows from 64 KiB to 1 MiB while
-reads keep filling it. The ``timeout`` of
+before a read with nothing buffered. The ``timeout`` of
 :meth:`MqttConnection.recv_packet` bounds the whole call, however the
-packet trickles in. A packet that declares more than
-:data:`MAX_PACKET_LENGTH` (8 MiB, the most the embedded broker
-forwards) ends the connection before it is buffered.
+packet trickles in. An :class:`mqtt.PacketReader` reads and frames
+packets, as in the broker, under the same 8 MiB cap: a packet that
+declares more ends the connection before it is buffered.
 """
 
 from __future__ import annotations
@@ -35,14 +33,9 @@ from typing import Optional
 
 from . import mqtt
 
-__all__ = ["MAX_PACKET_LENGTH", "ClientError", "MqttConnection"]
+__all__ = ["ClientError", "MqttConnection"]
 
 log = logging.getLogger(__name__)
-
-# Equal to the broker's DEFAULT_SESSION_BUFFER: it never forwards a larger packet.
-MAX_PACKET_LENGTH = 8 * 1024 * 1024
-_RECV_FIRST = 64 * 1024  # receive buffer size at connect
-_RECV_MAX = 1024 * 1024  # ... doubled while reads fill it, up to this
 
 
 class ClientError(Exception):
@@ -76,8 +69,7 @@ class MqttConnection:
         self._sock: Optional[socket.socket] = None
         self._readable: Optional[select.poll] = None  # polls _sock for input
         self._connack_due = False
-        self._buffer = bytearray()
-        self._recv_view = memoryview(bytearray(_RECV_FIRST))  # every recv lands here
+        self._reader = mqtt.PacketReader()
         self._pending: deque = deque()
 
     def __enter__(self) -> "MqttConnection":
@@ -189,7 +181,7 @@ class MqttConnection:
     def _drop(self) -> None:
         """Close the socket at once, whatever is left unread."""
         self._connack_due = False
-        self._buffer.clear()
+        self._reader.pending.clear()
         self._readable = None
         if self._sock is not None:
             try:
@@ -225,46 +217,32 @@ class MqttConnection:
         """Return the next packet, reading until it is whole or ``deadline`` passes."""
         if self._sock is None:
             return None
-        buffer = self._buffer
         while True:
             try:
-                total = mqtt.packet_length(buffer)
-                if total > MAX_PACKET_LENGTH:
-                    raise mqtt.MalformedPacketError(
-                        f"packet of {total} bytes, over {MAX_PACKET_LENGTH}"
-                    )
-                if len(buffer) >= total:  # decode each packet once
-                    packet, consumed = mqtt.decode_packet(buffer)
-                    del buffer[:consumed]
-                    return packet
-            except mqtt.NeedMoreDataError:
-                pass
+                packet = self._reader.next(mqtt.MAX_PACKET_LENGTH)
             except mqtt.MalformedPacketError as exc:
                 # Nothing after bad framing can be trusted: end the session
                 # as if the peer had closed it.
                 log.warning("bad packet from broker, closing: %s", exc)
                 self._drop()
                 return None
-            view = self._recv_view
-            if not buffer:
+            if packet is not None:
+                return packet
+            if not self._reader.pending:
                 # The last read ended on a packet boundary, so the socket is
                 # most likely empty: on an idle stream a read that finds it so
                 # costs more than the wait that must follow it anyway.
                 self._wait_readable(deadline)
             try:
-                received = self._sock.recv_into(view)
+                if self._reader.recv(self._sock):
+                    continue
             except BlockingIOError:
                 self._wait_readable(deadline)
                 continue
             except OSError:
-                self._drop()
-                return None
-            if not received:
-                self._drop()
-                return None
-            buffer += view[:received]
-            if received == len(view) and received < _RECV_MAX:  # more may be waiting
-                self._recv_view = memoryview(bytearray(2 * received))
+                pass
+            self._drop()  # end of input or a socket error
+            return None
 
     def _wait_readable(self, deadline: Optional[float]) -> None:
         """Wait until the socket has input; TimeoutError once ``deadline`` passes."""

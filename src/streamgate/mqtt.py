@@ -10,9 +10,9 @@ Decoding is incremental: :func:`decode_packet` raises
 (keep buffering) and :class:`MalformedPacketError` when the bytes can
 never become a valid packet (drop the connection). The decoder never
 reads past the declared remaining length. :func:`packet_length` reads
-that length from the fixed header alone, so a reader can wait for the
-whole packet and decode it once. A first byte with an unknown type, or
-with flags its type does not allow, is malformed on its own.
+that length from the fixed header alone, so :class:`PacketReader` waits
+for the whole packet and decodes it once. A first byte with an unknown
+type, or with flags its type does not allow, is malformed on its own.
 
 Out of scope by design: QoS 1/2 delivery state machines, TLS, the
 Connect username/password fields, retained-message persistence, and
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "Connack",
@@ -35,6 +35,7 @@ __all__ = [
     "MqttCodecError",
     "MqttPacket",
     "NeedMoreDataError",
+    "PacketReader",
     "PacketType",
     "Pingreq",
     "Pingresp",
@@ -44,6 +45,7 @@ __all__ = [
     "Unsuback",
     "Unsubscribe",
     "MAX_CONNECT_LENGTH",
+    "MAX_PACKET_LENGTH",
     "MAX_REMAINING_LENGTH",
     "decode_packet",
     "decode_remaining_length",
@@ -58,6 +60,7 @@ __all__ = [
 
 MAX_REMAINING_LENGTH = 268_435_455
 MAX_STRING_BYTES = 65_535
+MAX_PACKET_LENGTH = 8 * 1024 * 1024  # the most either end buffers or queues per session
 
 
 class MqttCodecError(Exception):
@@ -408,6 +411,12 @@ class _Body:
         self._pos += 2
         return value
 
+    def packet_id(self) -> int:
+        value = self.u16()
+        if value == 0:
+            raise MalformedPacketError("packet id 0 is not allowed")
+        return value
+
     def string(self, what: str) -> str:
         length = self.u16()
         if self._pos + length > len(self._data):
@@ -485,9 +494,7 @@ def _decode_publish(flags: int, body: _Body) -> Publish:
 
 
 def _decode_subscribe(_flags: int, body: _Body) -> Subscribe:
-    packet_id = body.u16()
-    if packet_id == 0:
-        raise MalformedPacketError("packet id 0 is not allowed")
+    packet_id = body.packet_id()
     filters = []
     while not body.at_end():
         filter_ = body.string("topic filter")
@@ -503,9 +510,7 @@ def _decode_subscribe(_flags: int, body: _Body) -> Subscribe:
 
 
 def _decode_suback(_flags: int, body: _Body) -> Suback:
-    packet_id = body.u16()
-    if packet_id == 0:
-        raise MalformedPacketError("packet id 0 is not allowed")
+    packet_id = body.packet_id()
     granted = body.rest()
     if not granted:
         raise MalformedPacketError("suback carries no return codes")
@@ -516,9 +521,7 @@ def _decode_suback(_flags: int, body: _Body) -> Suback:
 
 
 def _decode_unsubscribe(_flags: int, body: _Body) -> Unsubscribe:
-    packet_id = body.u16()
-    if packet_id == 0:
-        raise MalformedPacketError("packet id 0 is not allowed")
+    packet_id = body.packet_id()
     filters = []
     while not body.at_end():
         filter_ = body.string("topic filter")
@@ -531,9 +534,7 @@ def _decode_unsubscribe(_flags: int, body: _Body) -> Unsubscribe:
 
 
 def _decode_unsuback(_flags: int, body: _Body) -> Unsuback:
-    packet_id = body.u16()
-    if packet_id == 0:
-        raise MalformedPacketError("packet id 0 is not allowed")
+    packet_id = body.packet_id()
     body.expect_end("unsuback")
     return Unsuback(packet_id=packet_id)
 
@@ -598,6 +599,42 @@ def decode_packet(data) -> Tuple[MqttPacket, int]:
         raise NeedMoreDataError(f"have {len(data)} of {total} bytes")
     view = memoryview(data)
     return _DECODERS[view[0] >> 4](view[0] & 0x0F, _Body(view[start:total])), total
+
+
+class PacketReader:
+    """The receive side of one client or broker connection.
+
+    It reads into ``buffer``, shared by readers on one thread and fixed in
+    size, or else into its own, which grows from 64 KiB to 1 MiB while reads
+    fill it. Freeing a buffer between reads let glibc trim the heap.
+    """
+
+    def __init__(self, buffer: Optional[bytearray] = None):
+        self.pending = bytearray()  # received, not yet decoded
+        self._grows = buffer is None
+        self._buffer = bytearray(64 * 1024) if buffer is None else buffer
+
+    def recv(self, sock) -> int:
+        """One ``recv_into``; returns the byte count, 0 at end of input."""
+        received = sock.recv_into(self._buffer)
+        self.pending += memoryview(self._buffer)[:received]
+        if self._grows and received == len(self._buffer) and received < 1 << 20:
+            self._buffer = bytearray(2 * received)  # more may be waiting
+        return received
+
+    def next(self, limit: int):
+        """The next whole packet, or None; malformed once it declares over ``limit`` bytes."""
+        try:
+            total = packet_length(self.pending)
+        except NeedMoreDataError:
+            return None
+        if total > limit:
+            raise MalformedPacketError(f"packet of {total} bytes, over {limit}")
+        if len(self.pending) < total:
+            return None
+        packet, consumed = decode_packet(self.pending)  # the global, which tracers wrap
+        del self.pending[:consumed]
+        return packet
 
 
 # The longest client id is the only variable part the decoder accepts.

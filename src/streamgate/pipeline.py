@@ -273,6 +273,8 @@ def publish_stream(
         raise ValueError("need a frame-count or duration bound")
     if max_frames is not None and max_frames < 0:
         raise ValueError("max_frames must be >= 0")
+    if not config.camera_fps > 0:
+        raise ValueError(f"camera_fps must be positive, got {config.camera_fps}")
 
     verdict = driver.authenticate(enclave, candidate)
     if not verdict.authorized:

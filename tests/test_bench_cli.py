@@ -227,6 +227,48 @@ def test_cmd_stream_refused_before_any_connect(workdir):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--fps", "-5"),  # streamed unpaced
+        ("--fps", "0"),  # fell back to the config's rate
+        ("--fps", "nan"),
+        ("--frames", "-1"),  # a ValueError traceback, exit 1
+        ("--duration", "-1"),
+        ("--port", "0"),
+        ("--port", "65536"),
+    ],
+)
+def test_cmd_stream_out_of_range_override_is_bad_input(workdir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            [
+                "stream",
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                flag, value,
+            ]
+        )
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    assert f"{flag}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subscribe", "--frames", "-1"],
+        ["subscribe", "--duration", "-0.5"],
+        ["subscribe", "--port", "0"],
+        ["broker", "--port", "-1"],
+    ],
+)
+def test_out_of_range_options_are_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    assert "must be" in capsys.readouterr().err
+
+
 def test_cmd_stream_and_subscribe_loopback(workdir, capsys):
     with Broker("127.0.0.1", 0) as broker:
         box = {}

@@ -288,8 +288,9 @@ def test_zero_keep_alive_never_expires(broker):
 # -- slow subscribers --------------------------------------------------------------
 
 
-def test_slow_subscriber_messages_dropped():
-    with Broker("127.0.0.1", 0, max_session_buffer=4096) as broker:
+def test_slow_subscriber_messages_dropped(monkeypatch):
+    monkeypatch.setattr(mqtt, "MAX_PACKET_LENGTH", 4096)
+    with Broker("127.0.0.1", 0) as broker:
         # Subscribe but never read: the session buffer fills up.
         sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
         sock.sendall(mqtt.encode_packet(mqtt.Connect(client_id="lazy")))
@@ -498,7 +499,7 @@ _FIRST_BYTES = [0x10, 0x20, 0x30, 0x31, 0x3B, 0x82, 0x90, 0xA2, 0xB0, 0xC0, 0xD0
 @settings(max_examples=40, deadline=None)
 @given(
     first=st.sampled_from(_FIRST_BYTES),
-    declared=st.integers(broker_module.DEFAULT_SESSION_BUFFER, mqtt.MAX_REMAINING_LENGTH),
+    declared=st.integers(mqtt.MAX_PACKET_LENGTH, mqtt.MAX_REMAINING_LENGTH),
     body=st.binary(max_size=256),
 )
 def test_large_declared_lengths_close_only_the_offending_session(first, declared, body):
@@ -597,6 +598,50 @@ def test_forwarding_frames_does_not_fault_the_broker_heap():
             child.stdin.close()  # end of input stops the broker
             child.wait(timeout=10)
     assert per_frame <= 5, f"{per_frame:.1f} minor faults per frame"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads minor faults from Linux /proc"
+)
+def test_publishers_coming_and_going_do_not_fault_the_broker_heap():
+    # Each publisher sends three frames back to back and leaves, as in a
+    # stream of short authorized attempts. A read buffer per session, or
+    # reads of several frames at once, let glibc trim the heap between
+    # sessions: 2 to 21 faults a frame.
+    src = os.path.dirname(os.path.dirname(streamgate.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-c", _BROKER_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as child:
+        try:
+            port = int(child.stdout.readline())
+            sub = MqttConnection("127.0.0.1", port, "sub")
+            sub.connect()
+            sub.subscribe("cam")
+            payload = bytes(86_412)
+
+            def attempts(count):
+                for _ in range(count):
+                    pub = MqttConnection("127.0.0.1", port, "pub")
+                    pub.connect()
+                    for _ in range(3):
+                        pub.publish("cam", payload)
+                    for _ in range(3):
+                        assert sub.recv_packet(timeout=5.0).payload == payload
+                    pub.disconnect()
+
+            attempts(10)  # warm-up
+            before = _minor_faults(child.pid)
+            attempts(60)
+            per_frame = (_minor_faults(child.pid) - before) / 180
+            sub.disconnect()
+        finally:
+            child.stdin.close()  # end of input stops the broker
+            child.wait(timeout=10)
+    assert per_frame <= 1, f"{per_frame:.1f} minor faults per frame"
 
 
 # -- hostile and silent peers ----------------------------------------------------------

@@ -8,8 +8,7 @@ import time
 import pytest
 
 from streamgate import mqtt
-from streamgate.broker import DEFAULT_SESSION_BUFFER
-from streamgate.client import MAX_PACKET_LENGTH, ClientError, MqttConnection
+from streamgate.client import ClientError, MqttConnection
 from streamgate.enclave import provision
 from streamgate.keystore import GatewayConfig
 from streamgate.pipeline import SyntheticFrameSource, publish_stream
@@ -299,10 +298,6 @@ def test_packet_over_the_cap_closes_before_it_is_buffered(monkeypatch):
     assert not conn.connected
     assert result() == b""
     assert sum(reads) < 1 << 20
-
-
-def test_packet_cap_is_the_most_the_embedded_broker_forwards():
-    assert MAX_PACKET_LENGTH == DEFAULT_SESSION_BUFFER
 
 
 # 45 bytes on the wire, sent one byte per 0.1 s after the handshake.

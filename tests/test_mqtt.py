@@ -485,6 +485,67 @@ def test_packet_length_rejects_unknown_type_from_first_byte(first):
         mqtt.packet_length(bytes([first]))
 
 
+# -- the packet reader ------------------------------------------------------------
+
+
+class _Chunks:
+    """A socket stand-in: ``recv_into`` hands out the chunks in order, then 0."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    def recv_into(self, buffer):
+        if not self._chunks:
+            return 0
+        chunk = self._chunks.pop(0)
+        taken = min(len(chunk), len(buffer))
+        buffer[:taken] = chunk[:taken]
+        if taken < len(chunk):
+            self._chunks.insert(0, chunk[taken:])
+        return taken
+
+
+# Large publishes make the reader's buffer grow past its first 64 KiB.
+_STREAM_PACKETS = st.one_of(
+    PACKETS, st.integers(60_000, 300_000).map(lambda n: mqtt.Publish("big", bytes(n)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    packets=st.lists(_STREAM_PACKETS, max_size=8),
+    cuts=st.lists(st.floats(0, 1), max_size=12),
+)
+def test_property_packet_reader_yields_the_packets_however_the_stream_is_cut(packets, cuts):
+    stream = b"".join(map(mqtt.encode_packet, packets))
+    points = sorted({int(cut * len(stream)) for cut in cuts} | {0, len(stream)})
+    sock = _Chunks(stream[start:end] for start, end in zip(points, points[1:]))
+    reader = mqtt.PacketReader()
+    received = []
+    while reader.recv(sock):
+        while (packet := reader.next(mqtt.MAX_PACKET_LENGTH)) is not None:
+            received.append(packet)
+    assert received == packets
+    assert not reader.pending
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=PACKETS, limit=st.integers(0, 400))
+def test_property_packet_reader_refuses_a_packet_over_the_limit_from_its_header(
+    packet, limit
+):
+    wire = mqtt.encode_packet(packet)
+    header = len(wire) - mqtt.decode_remaining_length(wire[1:])[0]
+    reader = mqtt.PacketReader()
+    reader.recv(_Chunks([wire[:header]]))
+    if len(wire) > limit:
+        with pytest.raises(mqtt.MalformedPacketError):
+            reader.next(limit)
+    else:
+        reader.recv(_Chunks([wire[header:]]))
+        assert reader.next(limit) == packet
+
+
 def test_max_connect_length_is_the_longest_connect_that_decodes():
     widest = mqtt.encode_packet(mqtt.Connect(client_id="x" * mqtt.MAX_STRING_BYTES))
     assert mqtt.decode_packet(widest)[1] == len(widest) == mqtt.MAX_CONNECT_LENGTH

@@ -285,6 +285,18 @@ def test_requires_a_bound():
         publish_stream(GatewayConfig(), enclave, SECRET)
 
 
+@pytest.mark.parametrize("fps", [-5.0, 0.0, float("nan")])
+def test_non_positive_fps_refused_before_authenticating(monkeypatch, fps):
+    def no_authenticate(*args):
+        raise AssertionError("authenticated")
+
+    monkeypatch.setattr(pipeline.driver, "authenticate", no_authenticate)
+    # Nothing listens on port 9 either: a connect would raise ClientError.
+    config = GatewayConfig(camera_fps=fps, mqtt_host="127.0.0.1", mqtt_port=9)
+    with pytest.raises(ValueError, match="camera_fps"):
+        publish_stream(config, provision(SECRET), SECRET, max_frames=3)
+
+
 def test_unreachable_broker_raises_client_error():
     # Bind a port and close it so nothing is listening there.
     import socket as socket_mod
