@@ -80,20 +80,18 @@ def _random_wrong(secret: bytes, rng: random.Random) -> bytes:
             return candidate
 
 
-def generate_suite(
-    secret: bytes, rng: random.Random, counts: Optional[dict] = None
-) -> List[Tuple[str, bytes]]:
+def generate_suite(secret: bytes, rng: random.Random) -> List[Tuple[str, bytes]]:
     """Labeled candidates for the attempt suite, grouped by table row."""
-    counts = dict(TABLE_SUITE_COUNTS if counts is None else counts)
+    counts = TABLE_SUITE_COUNTS
     suite: List[Tuple[str, bytes]] = []
-    suite += [("correct", secret)] * counts.get("correct", 0)
-    suite += [("invalid", _flip_one_bit(secret, rng)) for _ in range(counts.get("invalid", 0))]
+    suite += [("correct", secret)] * counts["correct"]
+    suite += [("invalid", _flip_one_bit(secret, rng)) for _ in range(counts["invalid"])]
     suite += [
         ("incomplete", secret[: rng.randrange(1, KEY_BYTES)])
-        for _ in range(counts.get("incomplete", 0))
+        for _ in range(counts["incomplete"])
     ]
-    suite += [("empty", b"")] * counts.get("empty", 0)
-    suite += [("wrong", _random_wrong(secret, rng)) for _ in range(counts.get("wrong", 0))]
+    suite += [("empty", b"")] * counts["empty"]
+    suite += [("wrong", _random_wrong(secret, rng)) for _ in range(counts["wrong"])]
     return suite
 
 

@@ -98,12 +98,6 @@ class SubscriptionTable:
     def filter_count(self) -> int:
         return len(self._filters)
 
-    def session_refs(self) -> Set["_Session"]:
-        refs: Set["_Session"] = set()
-        for sessions in self._filters.values():
-            refs.update(sessions)
-        return refs
-
 
 class _Session:
     """One client connection: its socket, packet reader and outbox."""

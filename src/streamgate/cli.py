@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from . import broker as broker_mod
-from . import driver, keystore, pipeline, subscriber
+from . import driver, keystore, mqtt, pipeline, subscriber
 from .client import ClientError
 from .enclave import AuthEnclave, LatencyModel, ProvisioningError
 from .keystore import ConfigError, CredentialsError, GatewayConfig
@@ -58,6 +58,23 @@ _FRAMES = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 _SECONDS = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
 
 
+def _topic_rule(validate):
+    """An argparse ``type=`` that applies an ``mqtt`` topic rule."""
+
+    def convert(raw: str) -> str:
+        try:
+            validate(raw)
+        except mqtt.FilterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return raw
+
+    return convert
+
+
+_PUBLISH_TOPIC = _topic_rule(mqtt.validate_publish_topic)  # the rule of keystore's mqtt.topic
+_TOPIC_FILTER = _topic_rule(mqtt.validate_filter)
+
+
 def _load_config(path: Optional[str]) -> GatewayConfig:
     if path is None:
         return GatewayConfig()
@@ -71,7 +88,7 @@ def _load_enclave(args, config: GatewayConfig) -> AuthEnclave:
     return AuthEnclave(image, model)
 
 
-def _load_candidate(args, config: GatewayConfig) -> keystore.CandidateKey:
+def _load_candidate(args, config: GatewayConfig) -> bytes:
     path = args.credentials if args.credentials else config.credentials_path
     return keystore.parse_credentials(Path(path).read_text())
 
@@ -228,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_stream, provision=True)
     p_stream.add_argument("--host")
     p_stream.add_argument("--port", type=_PORT)
-    p_stream.add_argument("--topic")
+    p_stream.add_argument("--topic", type=_PUBLISH_TOPIC)
     p_stream.add_argument("--fps", type=_FPS)
     p_stream.add_argument("--frames", type=_FRAMES)
     p_stream.add_argument("--duration", type=_SECONDS)
@@ -237,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser("subscribe", help="collect frames from a topic")
     p_sub.add_argument("--host", default="localhost")
     p_sub.add_argument("--port", type=_PORT, default=broker_mod.DEFAULT_PORT)
-    p_sub.add_argument("--topic", default="camera/stream")
+    p_sub.add_argument("--topic", type=_TOPIC_FILTER, default="camera/stream")
     p_sub.add_argument("--frames", type=_FRAMES)
     p_sub.add_argument("--duration", type=_SECONDS)
     p_sub.add_argument("--sink", help="directory for received frames")

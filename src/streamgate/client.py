@@ -79,10 +79,6 @@ class MqttConnection:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
     def connect(self) -> None:
         """Open the TCP connection and send CONNECT; the CONNACK is read later."""
         try:
@@ -99,8 +95,8 @@ class MqttConnection:
         self._send(mqtt.encode_packet(connect))
         self._connack_due = True
 
-    def publish(self, topic: str, payload: bytes, retain: bool = False) -> None:
-        self._send(mqtt.publish_header(topic, len(payload), retain), payload)
+    def publish(self, topic: str, payload: bytes) -> None:
+        self._send(mqtt.publish_header(topic, len(payload)), payload)
 
     def subscribe(self, topic_filter: str, packet_id: int = 1) -> int:
         """Subscribe to one filter; returns the granted QoS (0) or raises."""

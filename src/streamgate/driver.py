@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 from .enclave import (
     CTRL_DONE_BIT,
@@ -70,13 +70,11 @@ class AttemptSummary:
 
 
 def _candidate_bytes(candidate) -> bytes:
-    # Accepts raw bytes or anything credential-shaped with a .bytes field.
-    data = getattr(candidate, "bytes", candidate)
-    if not isinstance(data, (bytes, bytearray)):
+    if not isinstance(candidate, (bytes, bytearray)):
         raise DriverFault(f"candidate must be bytes, got {type(candidate).__name__}")
-    if len(data) > KEY_BYTES:
-        raise DriverFault(f"candidate longer than {KEY_BYTES} bytes: {len(data)}")
-    return bytes(data)
+    if len(candidate) > KEY_BYTES:
+        raise DriverFault(f"candidate longer than {KEY_BYTES} bytes: {len(candidate)}")
+    return bytes(candidate)
 
 
 def authenticate(enclave: AuthEnclave, candidate) -> AuthVerdict:
@@ -110,7 +108,7 @@ def authenticate(enclave: AuthEnclave, candidate) -> AuthVerdict:
 
 def run_attempt_suite(
     enclave: AuthEnclave,
-    suite: Iterable[Tuple[str, Union[bytes, object]]],
+    suite: Iterable[Tuple[str, bytes]],
 ) -> AttemptSummary:
     """Execute a sequence of (label, candidate) attempts and tally them.
 

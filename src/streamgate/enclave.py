@@ -23,7 +23,7 @@ that no key material ever crosses the register boundary. The other leg
 is that the provisioned secret is reduced at construction time to a
 salted SHA-256 digest held in the comparison closure; neither the
 secret's bytes nor its integer value are kept, so no attribute walk,
-closure walk, repr, or state dump can reach it.
+closure walk or repr can reach it.
 
 The comparison itself takes a fixed number of clock cycles, identical
 for every candidate (the loop is fully pipelined in the modeled core,
@@ -33,7 +33,7 @@ information about how much of the key matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = [
@@ -91,18 +91,14 @@ class LatencyModel:
     occurs. The pipelined core overlaps loop iterations and finishes in
     34 cycles; without pipelining it takes 64.
 
-    ``estimated_clock_ns`` / ``clock_uncertainty_ns`` record the
-    synthesis timing estimate for the core (2.88 ns +/- 1.25 ns). They
-    are documentation only: all elapsed-time arithmetic uses the 10 ns
-    target clock, which is what the 0.34 us pipelined figure is quoted
-    against.
+    Synthesis estimates the core's clock at 2.88 ns +/- 1.25 ns, but all
+    elapsed-time arithmetic uses the 10 ns target clock, which is what
+    the 0.34 us pipelined figure is quoted against.
     """
 
     mode: str
     latency_cycles: int
     clock_period_ns: int = 10
-    estimated_clock_ns: float = field(default=2.88, compare=False)
-    clock_uncertainty_ns: float = field(default=1.25, compare=False)
 
     PIPELINED_CYCLES = 34
     UNPIPELINED_CYCLES = 64
@@ -279,22 +275,6 @@ class AuthEnclave:
     def elapsed_ns(self) -> int:
         """Wall time of the modeled clock: cycles times the 10 ns period."""
         return self.cycle_counter * self.model.clock_period_ns
-
-    # -- diagnostics -------------------------------------------------------
-
-    def dump_state(self) -> dict:
-        """Diagnostic snapshot. Carries handshake and timing state only:
-        neither the secret nor the candidate key words are included."""
-        return {
-            "mode": self.model.mode,
-            "latency_cycles": self.model.latency_cycles,
-            "clock_period_ns": self.model.clock_period_ns,
-            "cycle_counter": self.cycle_counter,
-            "busy_until": self.busy_until,
-            "idle": self.idle,
-            "done": self._done,
-            "elapsed_ns": self.elapsed_ns(),
-        }
 
     def __repr__(self) -> str:
         state = "busy" if self.busy else ("done" if self._done else "idle")

@@ -15,22 +15,20 @@ README so they can be written by hand on a device:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .driver import SUITE_LABELS
+from . import mqtt
 from .enclave import KEY_BYTES
 
 __all__ = [
-    "CandidateKey",
     "ConfigError",
     "CredentialsError",
     "GatewayConfig",
     "parse_config",
     "parse_credentials",
     "parse_provisioning",
-    "serialize_config",
 ]
 
 
@@ -40,27 +38,6 @@ class ConfigError(ValueError):
 
 class CredentialsError(ValueError):
     """Credentials text rejected."""
-
-
-@dataclass(frozen=True)
-class CandidateKey:
-    """Key material read from a credentials file, possibly incomplete.
-
-    ``source_label`` records how the key looked at parse time (full
-    keys cannot be judged correct or wrong without the enclave, so they
-    come out ``unlabeled``).
-    """
-
-    bytes: bytes
-    source_label: str = "unlabeled"
-
-    def __post_init__(self):
-        if len(self.bytes) > KEY_BYTES:
-            raise CredentialsError(
-                f"candidate key longer than {KEY_BYTES} bytes: {len(self.bytes)}"
-            )
-        if self.source_label not in SUITE_LABELS + ("unlabeled",):
-            raise CredentialsError(f"unknown source label: {self.source_label!r}")
 
 
 @dataclass
@@ -117,10 +94,11 @@ def _nonempty(raw: str, lineno: int, key: str) -> str:
 
 
 def _check_topic(raw: str, lineno: int, key: str) -> str:
-    topic = _nonempty(raw, lineno, key)
-    if "+" in topic or "#" in topic:
-        raise ConfigError(f"line {lineno}: {key} must not contain wildcards, got {topic!r}")
-    return topic
+    try:
+        mqtt.validate_publish_topic(raw)  # the rule publish_header applies
+    except mqtt.FilterError as exc:
+        raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+    return raw
 
 
 # Dotted config key -> (GatewayConfig attribute, parser(raw, lineno, key)).
@@ -136,7 +114,6 @@ _CONFIG_KEYS = {
     "credentials.path": ("credentials_path", _nonempty),
     "enclave.pipelined": ("enclave_pipelined", _parse_bool),
 }
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _CONFIG_KEYS.items()}
 
 
 def parse_config(text: str) -> GatewayConfig:
@@ -161,19 +138,6 @@ def parse_config(text: str) -> GatewayConfig:
     return config
 
 
-def serialize_config(config: GatewayConfig) -> str:
-    """Render a config back to file text; parse(serialize(c)) == c."""
-    lines = []
-    for f in fields(GatewayConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = str(value)
-        lines.append(f"{_ATTR_TO_KEY[f.name]} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def _first_payload_line(text: str) -> tuple[Optional[str], int]:
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -195,18 +159,16 @@ def _decode_hex_key(line: str, lineno: int) -> bytes:
         raise CredentialsError(f"line {lineno}: non-hex character in key") from None
 
 
-def parse_credentials(text: str) -> CandidateKey:
-    """Parse a credentials file into a candidate key.
+def parse_credentials(text: str) -> bytes:
+    """Parse a credentials file into the raw bytes of a candidate key.
 
     Empty file (or comments only) yields the empty key; fewer than 64
     hex digits yields an incomplete key.
     """
     line, lineno = _first_payload_line(text)
     if line is None:
-        return CandidateKey(b"", "empty")
-    key = _decode_hex_key(line, lineno)
-    label = "unlabeled" if len(key) == KEY_BYTES else "incomplete"
-    return CandidateKey(key, label)
+        return b""
+    return _decode_hex_key(line, lineno)
 
 
 def parse_provisioning(text: str) -> bytes:

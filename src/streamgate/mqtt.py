@@ -79,8 +79,8 @@ class EncodeError(MqttCodecError):
     """Packet violates an invariant and cannot be serialized."""
 
 
-class FilterError(MqttCodecError):
-    """Topic filter violates the wildcard placement rules."""
+class FilterError(MqttCodecError, ValueError):
+    """Topic name or filter that MQTT 3.1.1 does not allow."""
 
 
 class PacketType(IntEnum):
@@ -118,7 +118,6 @@ class Publish:
     topic: str
     payload: bytes = b""
     retain: bool = False
-    qos: int = 0  # only QoS 0 is representable on the wire here
 
 
 @dataclass(frozen=True)
@@ -327,9 +326,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
             raise EncodeError(f"connack return code out of range: {packet.return_code}")
         return _fixed_header(PacketType.CONNACK, 0, bytes([0, packet.return_code]))
 
-    if isinstance(packet, Publish):
-        if packet.qos != 0:
-            raise EncodeError("only QoS 0 publishes are supported")
+    if isinstance(packet, Publish):  # QoS 0, the only level in use
         return publish_header(packet.topic, len(packet.payload), packet.retain) + packet.payload
 
     if isinstance(packet, Subscribe):

@@ -30,16 +30,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from . import driver
+from . import driver, mqtt
 from .client import ClientError, MqttConnection
 from .enclave import AuthEnclave
-from .keystore import CandidateKey, GatewayConfig
+from .keystore import GatewayConfig
 
 __all__ = [
     "DirectoryFrameSource",
     "Frame",
     "FrameSource",
-    "MeasurementError",
     "SourceError",
     "StreamAborted",
     "StreamResult",
@@ -47,7 +46,6 @@ __all__ = [
     "ThrottleStats",
     "decode_payload",
     "encode_payload",
-    "measure_fps",
     "publish_stream",
 ]
 
@@ -59,10 +57,6 @@ _BODY_STRIDE = 7919  # a prime, so few body lengths share a factor with it
 
 class SourceError(Exception):
     """Frame source cannot produce frames."""
-
-
-class MeasurementError(ValueError):
-    """Not enough timestamps to measure a rate."""
 
 
 class StreamAborted(Exception):
@@ -229,22 +223,6 @@ def decode_payload(text: Union[str, bytes]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Rate measurement
-# ---------------------------------------------------------------------------
-
-
-def measure_fps(timestamps) -> float:
-    """Frames per second over a window of delivery timestamps."""
-    stamps = list(timestamps)
-    if len(stamps) < 2:
-        raise MeasurementError(f"need at least 2 timestamps, got {len(stamps)}")
-    span = stamps[-1] - stamps[0]
-    if span <= 0:
-        raise MeasurementError("timestamps do not advance")
-    return (len(stamps) - 1) / span
-
-
-# ---------------------------------------------------------------------------
 # Gated publishing
 # ---------------------------------------------------------------------------
 
@@ -252,7 +230,7 @@ def measure_fps(timestamps) -> float:
 def publish_stream(
     config: GatewayConfig,
     enclave: AuthEnclave,
-    candidate: Union[CandidateKey, bytes],
+    candidate: bytes,
     *,
     max_frames: Optional[int] = None,
     duration_s: Optional[float] = None,
@@ -275,6 +253,7 @@ def publish_stream(
         raise ValueError("max_frames must be >= 0")
     if not config.camera_fps > 0:
         raise ValueError(f"camera_fps must be positive, got {config.camera_fps}")
+    mqtt.validate_publish_topic(config.mqtt_topic)  # a FilterError is a ValueError
 
     verdict = driver.authenticate(enclave, candidate)
     if not verdict.authorized:
@@ -339,7 +318,7 @@ def publish_stream(
 def _finish_stats(
     fps: float, frames_sent: int, first_send: float, last_send: float
 ) -> ThrottleStats:
-    # n sends span n - 1 frame intervals, as in measure_fps.
+    # n sends span n - 1 frame intervals.
     window = last_send - first_send
     measured = (frames_sent - 1) / window if window > 0 else 0.0
     return ThrottleStats(

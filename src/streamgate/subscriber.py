@@ -39,12 +39,19 @@ class DeliveryReport:
     frames_received: int = 0
     first_timestamp: Optional[float] = None
     last_timestamp: Optional[float] = None
-    measured_fps: Optional[float] = None
     out_of_order_count: int = 0
     decode_failure_count: int = 0
     write_drop_count: int = 0
     content_hashes: List[str] = field(default_factory=list)
-    frame_indices: List[Optional[int]] = field(default_factory=list)
+
+    @property
+    def measured_fps(self) -> Optional[float]:
+        """Frames per second from first to last arrival: n frames span n - 1
+        intervals. None below 2 frames, or if no time passed between them."""
+        if self.frames_received < 2:
+            return None
+        span = self.last_timestamp - self.first_timestamp
+        return (self.frames_received - 1) / span if span > 0 else None
 
 
 def _frame_index(data: bytes) -> Optional[int]:
@@ -107,7 +114,6 @@ def subscribe_and_collect(
     if max_frames is None and duration_s is None:
         raise ValueError("need a frame-count or duration bound")
     report = DeliveryReport()
-    timestamps: List[float] = []
     sink = _SinkWriter(Path(sink_dir)) if sink_dir is not None else None
     last_index: Optional[int] = None
     fallback_name = 0
@@ -144,14 +150,12 @@ def subscribe_and_collect(
                 continue
 
             report.frames_received += 1
-            timestamps.append(now)
             if report.first_timestamp is None:
                 report.first_timestamp = now
             report.last_timestamp = now
             report.content_hashes.append(hashlib.sha256(data).hexdigest())
 
             index = _frame_index(data)
-            report.frame_indices.append(index)
             if index is not None:
                 if last_index is not None and index <= last_index:
                     report.out_of_order_count += 1
@@ -169,11 +173,6 @@ def subscribe_and_collect(
         if sink is not None:
             sink.finish()
 
-    if len(timestamps) >= 2:
-        try:
-            report.measured_fps = pipeline.measure_fps(timestamps)
-        except pipeline.MeasurementError:
-            report.measured_fps = None
     log.info(
         "collection done: %d frames, %d decode failures, %d out of order",
         report.frames_received,

@@ -269,6 +269,41 @@ def test_out_of_range_options_are_bad_input(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, topic", [("stream", "cam/#"), ("subscribe", "a/#/b")])
+def test_bad_topic_option_is_bad_input_before_any_connect(workdir, capsys, command, topic):
+    with Broker("127.0.0.1", 0) as broker:
+        argv = [command, "--host", "127.0.0.1", "--port", str(broker.port), "--topic", topic]
+        if command == "stream":
+            argv += ["--config", str(workdir / "gateway.cfg")]
+            argv += ["--provision", str(workdir / "secret.hex")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv + ["--frames", "1"])
+        assert broker.stats.connections_accepted == 0
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "argument --topic:" in err
+    assert "Traceback" not in err
+
+
+def test_cmd_stream_nul_topic_in_config_is_bad_input(workdir, capsys):
+    config = workdir / "nul.cfg"
+    config.write_text((workdir / "gateway.cfg").read_text() + "mqtt.topic = a\x00b\n")
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(config),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "1",
+            ]
+        )
+        assert broker.stats.connections_accepted == 0
+    assert code == cli.EXIT_BAD_INPUT
+    assert "mqtt.topic" in capsys.readouterr().err
+
+
 def test_cmd_stream_and_subscribe_loopback(workdir, capsys):
     with Broker("127.0.0.1", 0) as broker:
         box = {}

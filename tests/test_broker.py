@@ -44,7 +44,9 @@ def wait_until(predicate, timeout=3.0, what="condition"):
 
 def test_connect_gets_connack_zero(broker):
     conn = connect(broker, "c1")
-    assert conn.connected
+    conn.ping()
+    # recv_packet checks the CONNACK first and raises on a refusal.
+    assert isinstance(conn.recv_packet(timeout=2.0), mqtt.Pingresp)
     conn.disconnect()
 
 
@@ -139,11 +141,14 @@ def test_no_subscribers_drops_silently(broker):
 def test_retain_flag_not_propagated(broker):
     sub = connect(broker, "sub")
     sub.subscribe("t")
-    pub = connect(broker, "pub")
-    pub.publish("t", b"x", retain=True)
+    pub = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    pub.sendall(
+        mqtt.encode_packet(mqtt.Connect(client_id="pub"))
+        + mqtt.encode_packet(mqtt.Publish(topic="t", payload=b"x", retain=True))
+    )
     packet = sub.recv_packet(timeout=2.0)
     assert packet.retain is False
-    pub.disconnect()
+    pub.close()
     sub.disconnect()
 
 
@@ -352,19 +357,21 @@ def test_table_discard_leaves_no_dangling_refs():
     table.add("a", s2)
     table.add("b/+", s1)
     table.discard_session(s1)
-    assert table.session_refs() == {s2}
+    assert table.sessions_for("a") == {s2}
+    assert table.sessions_for("b/x") == set()
+    assert table.filter_count() == 1
     table.discard_session(s2)
-    assert table.session_refs() == set()
+    assert table.sessions_for("a") == set()
     assert table.filter_count() == 0
 
 
-def test_broker_drops_session_refs_on_disconnect(broker):
+def test_broker_drops_sessions_on_disconnect(broker):
     conn = connect(broker, "leaver")
     conn.subscribe("x/y")
     wait_until(lambda: broker.table.filter_count() == 1, what="subscription")
     conn.disconnect()
     wait_until(lambda: broker.table.filter_count() == 0, what="table cleanup")
-    assert broker.table.session_refs() == set()
+    assert broker.table.sessions_for("x/y") == set()
 
 
 # -- lifecycle ---------------------------------------------------------------------

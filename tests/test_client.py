@@ -246,7 +246,8 @@ def test_every_reading_call_reports_a_refusal(call):
     conn.publish("t", b"x")  # never waits for the CONNACK
     with pytest.raises(ClientError, match="return code 2"):
         getattr(conn, call)(*(["t"] if call == "subscribe" else []))
-    assert not conn.connected
+    with pytest.raises(ClientError, match="not connected"):
+        conn.publish("t", b"x")
     result()
 
 
@@ -262,7 +263,8 @@ def test_close_without_a_connack_gives_up_after_the_connect_timeout():
     with pytest.raises(ClientError, match="no CONNACK"):
         conn.close()
     assert 0.25 <= time.monotonic() - start <= 2.0
-    assert not conn.connected
+    with pytest.raises(ClientError, match="not connected"):
+        conn.publish("t", b"x")
     assert result() == []
 
 
@@ -295,7 +297,8 @@ def test_packet_over_the_cap_closes_before_it_is_buffered(monkeypatch):
     monkeypatch.setattr(socket.socket, "recv_into", spy_recv_into)
     assert conn.recv_packet(timeout=5.0) is None
     monkeypatch.undo()
-    assert not conn.connected
+    with pytest.raises(ClientError, match="not connected"):
+        conn.publish("t", b"x")
     assert result() == b""
     assert sum(reads) < 1 << 20
 

@@ -14,7 +14,7 @@ from streamgate.enclave import (
     LatencyModel,
     provision,
 )
-from streamgate.keystore import CandidateKey
+from streamgate.keystore import parse_credentials
 
 SECRET = bytes(range(1, 33))
 
@@ -72,8 +72,9 @@ def test_partial_word_zero_padded():
 
 
 def test_candidate_key_object_accepted():
+    # What the credentials parser returns is what the driver takes.
     enclave = provision(SECRET)
-    assert driver.authenticate(enclave, CandidateKey(SECRET)).authorized
+    assert driver.authenticate(enclave, parse_credentials(SECRET.hex())).authorized
 
 
 def test_oversized_candidate_is_driver_fault():

@@ -4,16 +4,17 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from streamgate import mqtt
 from streamgate.keystore import (
-    CandidateKey,
     ConfigError,
     CredentialsError,
     GatewayConfig,
     parse_config,
     parse_credentials,
     parse_provisioning,
-    serialize_config,
 )
 
 
@@ -77,6 +78,8 @@ def test_full_config_round():
         ("mqtt.topic = cam/+", "line 1"),
         ("mqtt.topic = cam/#", "line 1"),
         ("mqtt.topic =", "line 1"),
+        ("mqtt.topic = a\x00b", "line 1"),
+        pytest.param("mqtt.topic = " + "t" * 65_536, "line 1", id="topic-over-65535-bytes"),
         ("enclave.pipelined = maybe", "line 1"),
         ("frame.rate = 10", "unknown key"),
         ("no equals sign here", "key = value"),
@@ -87,6 +90,18 @@ def test_config_errors_name_the_line(text, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert needle in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(topic=st.text(max_size=40))
+@example(topic="a\x00b")
+@example(topic="t" * 65_536)
+def test_property_every_config_topic_is_publishable(topic):
+    try:
+        config = parse_config(f"mqtt.topic = {topic}")
+    except ConfigError:
+        return
+    mqtt.publish_header(config.mqtt_topic, 0)
 
 
 def test_error_on_third_line():
@@ -111,15 +126,33 @@ def random_config(rng: random.Random) -> GatewayConfig:
     )
 
 
+def config_text(config: GatewayConfig) -> str:
+    return "".join(
+        f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+        for key, value in [
+            ("camera.source", config.camera_source),
+            ("camera.width", config.camera_width),
+            ("camera.height", config.camera_height),
+            ("camera.fps", config.camera_fps),
+            ("mqtt.host", config.mqtt_host),
+            ("mqtt.port", config.mqtt_port),
+            ("mqtt.topic", config.mqtt_topic),
+            ("mqtt.client_id", config.mqtt_client_id),
+            ("credentials.path", config.credentials_path),
+            ("enclave.pipelined", config.enclave_pipelined),
+        ]
+    )
+
+
 def test_serialize_parse_round_trip():
     rng = random.Random(31337)
     for _ in range(300):
         config = random_config(rng)
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(config_text(config)) == config
 
 
 def test_serialized_defaults_parse_back():
-    assert parse_config(serialize_config(GatewayConfig())) == GatewayConfig()
+    assert parse_config(config_text(GatewayConfig())) == GatewayConfig()
 
 
 # -- credentials ---------------------------------------------------------------
@@ -139,38 +172,31 @@ def independent_hex_decode(text: str) -> bytes:
 def test_full_length_credentials():
     hex_text = "00112233445566778899aabbccddeeff" * 2
     key = parse_credentials(hex_text)
-    assert key.bytes == independent_hex_decode(hex_text)
-    assert len(key.bytes) == 32
-    assert key.source_label == "unlabeled"
+    assert key == independent_hex_decode(hex_text)
+    assert len(key) == 32
 
 
 def test_incomplete_credentials():
     hex_text = "a1b2c3d4e5f60718293a4b5c6d7e8f90"
     key = parse_credentials(hex_text)
-    assert key.bytes == independent_hex_decode(hex_text)
-    assert len(key.bytes) == 16
-    assert key.source_label == "incomplete"
+    assert key == independent_hex_decode(hex_text)
+    assert len(key) == 16
 
 
 def test_uppercase_hex_accepted():
-    key = parse_credentials("DEADBEEF")
-    assert key.bytes == bytes.fromhex("deadbeef")
+    assert parse_credentials("DEADBEEF") == bytes.fromhex("deadbeef")
 
 
 def test_empty_file_is_empty_key():
-    key = parse_credentials("")
-    assert key.bytes == b""
-    assert key.source_label == "empty"
+    assert parse_credentials("") == b""
 
 
 def test_comment_only_file_is_empty_key():
-    assert parse_credentials("# no key issued yet\n").source_label == "empty"
+    assert parse_credentials("# no key issued yet\n") == b""
 
 
 def test_key_line_after_comments():
-    assert parse_credentials("# issued 2024\n\nc0ffee00\n").bytes == bytes.fromhex(
-        "c0ffee00"
-    )
+    assert parse_credentials("# issued 2024\n\nc0ffee00\n") == bytes.fromhex("c0ffee00")
 
 
 @pytest.mark.parametrize("text", ["0xZZ", "abc", "xyz", "gg", "a" * 66])
@@ -185,18 +211,13 @@ def test_random_credentials_never_exceed_32_bytes():
         n = rng.randrange(0, 33)
         text = rng.randbytes(n).hex()
         key = parse_credentials(text)
-        assert len(key.bytes) <= 32
-        assert key.bytes == independent_hex_decode(text)
+        assert len(key) <= 32
+        assert key == independent_hex_decode(text)
 
 
 def test_candidate_key_rejects_oversize():
-    with pytest.raises(CredentialsError):
-        CandidateKey(bytes(33))
-
-
-def test_candidate_key_rejects_unknown_label():
-    with pytest.raises(CredentialsError):
-        CandidateKey(b"", "suspicious")
+    with pytest.raises(CredentialsError, match="longer than 32 bytes"):
+        parse_credentials(bytes(33).hex())
 
 
 # -- provisioning ----------------------------------------------------------------

@@ -270,11 +270,6 @@ def test_encode_rejects_wildcard_topic():
         mqtt.encode_packet(mqtt.Publish(topic="a/+", payload=b""))
 
 
-def test_encode_rejects_qos1_publish():
-    with pytest.raises(mqtt.EncodeError):
-        mqtt.encode_packet(mqtt.Publish(topic="a", payload=b"", qos=1))
-
-
 def test_encode_rejects_empty_subscribe():
     with pytest.raises(mqtt.EncodeError):
         mqtt.encode_packet(mqtt.Subscribe(packet_id=1, filters=()))

@@ -14,13 +14,11 @@ from streamgate.enclave import provision
 from streamgate.keystore import GatewayConfig
 from streamgate.pipeline import (
     DirectoryFrameSource,
-    MeasurementError,
     SourceError,
     StreamAborted,
     SyntheticFrameSource,
     decode_payload,
     encode_payload,
-    measure_fps,
     publish_stream,
 )
 
@@ -176,30 +174,6 @@ def test_decode_rejects_garbage():
         decode_payload("!!!not base64!!!")
 
 
-# -- fps measurement -------------------------------------------------------------------
-
-
-def test_measure_fps_fifteen_frames_in_a_second():
-    stamps = [i / 14 for i in range(15)]  # 0 ms .. 1000 ms
-    assert measure_fps(stamps) == pytest.approx(14.0)
-
-
-def test_measure_fps_two_frames():
-    assert measure_fps([0.0, 0.1]) == pytest.approx(10.0)
-
-
-def test_measure_fps_needs_two_stamps():
-    with pytest.raises(MeasurementError):
-        measure_fps([0.0])
-    with pytest.raises(MeasurementError):
-        measure_fps([])
-
-
-def test_measure_fps_rejects_frozen_clock():
-    with pytest.raises(MeasurementError):
-        measure_fps([1.0, 1.0])
-
-
 # -- the authentication gate --------------------------------------------------------------
 
 
@@ -295,6 +269,19 @@ def test_non_positive_fps_refused_before_authenticating(monkeypatch, fps):
     config = GatewayConfig(camera_fps=fps, mqtt_host="127.0.0.1", mqtt_port=9)
     with pytest.raises(ValueError, match="camera_fps"):
         publish_stream(config, provision(SECRET), SECRET, max_frames=3)
+
+
+@pytest.mark.parametrize(
+    "topic",
+    ["cam/#", "cam/+/raw", "a\x00b", pytest.param("t" * 65_536, id="over-65535-bytes")],
+)
+def test_bad_topic_refused_before_authenticating(topic):
+    enclave = provision(SECRET)
+    with Broker("127.0.0.1", 0) as broker:
+        with pytest.raises(ValueError, match="topic"):
+            publish_stream(small_config(broker, topic=topic), enclave, SECRET, max_frames=3)
+        assert broker.stats.connections_accepted == 0
+    assert enclave.cycle_counter == 0  # the enclave never ran
 
 
 def test_unreachable_broker_raises_client_error():

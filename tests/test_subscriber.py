@@ -11,7 +11,7 @@ from streamgate import mqtt
 from streamgate.broker import Broker
 from streamgate.client import MqttConnection
 from streamgate.pipeline import SyntheticFrameSource, encode_payload
-from streamgate.subscriber import subscribe_and_collect
+from streamgate.subscriber import DeliveryReport, subscribe_and_collect
 
 TOPIC = "camera/stream"
 
@@ -54,7 +54,6 @@ def test_collects_published_frames_with_hashes():
     assert report.content_hashes == [
         hashlib.sha256(f.bytes).hexdigest() for f in frames
     ]
-    assert report.frame_indices == list(range(10))
 
 
 def test_received_hashes_subset_of_published():
@@ -119,7 +118,8 @@ def test_out_of_order_detection():
     report = box["report"]
     assert report.frames_received == 3
     assert report.out_of_order_count == 1
-    assert report.frame_indices == [0, 2, 1]
+    # Each frame's index is in its hashed bytes.
+    assert report.content_hashes == [hashlib.sha256(f.bytes).hexdigest() for f in shuffled]
 
 
 def test_sink_writes_numbered_files(tmp_path):
@@ -155,6 +155,27 @@ def test_measured_fps_from_arrival_times():
     fps = box["report"].measured_fps
     assert fps is not None
     assert 12.0 <= fps <= 28.0
+
+
+def arrivals(first, last, frames):
+    return DeliveryReport(frames_received=frames, first_timestamp=first, last_timestamp=last)
+
+
+def test_measured_fps_fifteen_frames_in_a_second():
+    assert arrivals(0.0, 1.0, 15).measured_fps == pytest.approx(14.0)
+
+
+def test_measured_fps_two_frames():
+    assert arrivals(0.0, 0.1, 2).measured_fps == pytest.approx(10.0)
+
+
+def test_measured_fps_needs_two_frames():
+    assert arrivals(0.0, 0.0, 1).measured_fps is None
+    assert DeliveryReport().measured_fps is None
+
+
+def test_measured_fps_none_for_frozen_clock():
+    assert arrivals(1.0, 1.0, 2).measured_fps is None
 
 
 def test_requires_a_bound():
