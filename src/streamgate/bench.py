@@ -52,7 +52,7 @@ __all__ = [
     "run_loopback",
 ]
 
-TABLE_SUITE_COUNTS = {"correct": 10, "invalid": 5, "incomplete": 7, "empty": 4, "wrong": 6}
+TABLE_SUITE_COUNTS = dict(zip(driver.SUITE_LABELS, (10, 5, 7, 4, 6)))
 FPS_TARGETS = (6.0, 14.0, 30.0)
 FPS_TOLERANCE = 0.10
 LOOPBACK_SECONDS = 5.0
@@ -239,7 +239,7 @@ class BenchReport:
 
     def to_text(self) -> str:
         lines = [f"seed: {self.seed}"]
-        for label in ("correct", "invalid", "incomplete", "empty", "wrong"):
+        for label in TABLE_SUITE_COUNTS:
             lines.append(f"auth_suite.attempts.{label}: {self.suite_counts.get(label, 0)}")
         lines.append(f"auth_suite.successes: {self.successes}")
         lines.append(f"auth_suite.failures: {self.failures}")

@@ -18,6 +18,7 @@ import argparse
 import logging
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -35,44 +36,22 @@ EXIT_REFUSED = 1
 EXIT_BAD_INPUT = 2
 
 
-def _checked(parse, ok, rule: str):
-    """An argparse ``type=``: ``parse`` the text, then require ``ok(value)``."""
+def _flag(rule):
+    """An argparse ``type=`` that applies a keystore rule; its ValueError is the usage error."""
 
     def convert(raw: str):
         try:
-            value = parse(raw)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
-        return value
-
-    return convert
-
-
-# The ranges of keystore's camera.fps and mqtt.port keys; a port of 0 binds any free one.
-_FPS = _checked(float, lambda v: v > 0, "a positive number")
-_PORT = _checked(int, lambda v: 1 <= v <= 65535, "in [1, 65535]")
-_BIND_PORT = _checked(int, lambda v: 0 <= v <= 65535, "in [0, 65535]")
-_FRAMES = _checked(int, lambda v: v >= 0, "a whole number >= 0")
-_SECONDS = _checked(float, lambda v: v >= 0, "a number of seconds >= 0")
-
-
-def _topic_rule(validate):
-    """An argparse ``type=`` that applies an ``mqtt`` topic rule."""
-
-    def convert(raw: str) -> str:
-        try:
-            validate(raw)
-        except mqtt.FilterError as exc:
+            return rule(raw)
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return raw
 
     return convert
 
 
-_PUBLISH_TOPIC = _topic_rule(mqtt.validate_publish_topic)  # the rule of keystore's mqtt.topic
-_TOPIC_FILTER = _topic_rule(mqtt.validate_filter)
+_BIND_PORT = _flag(lambda raw: 0 if raw == "0" else keystore.RULES["mqtt.port"](raw))
+_FRAMES = _flag(keystore.checked(int, lambda v: v >= 0, "a whole number >= 0"))
+_SECONDS = _flag(keystore.checked(float, lambda v: v >= 0, "a number of seconds >= 0"))
+_TOPIC_FILTER = _flag(partial(keystore.nonempty, validate=mqtt.validate_filter))
 
 
 def _load_config(path: Optional[str]) -> GatewayConfig:
@@ -94,13 +73,13 @@ def _load_candidate(args, config: GatewayConfig) -> bytes:
 
 
 def _apply_overrides(args, config: GatewayConfig) -> GatewayConfig:
-    if getattr(args, "host", None):
+    if args.host is not None:
         config.mqtt_host = args.host
-    if getattr(args, "port", None):
+    if args.port is not None:
         config.mqtt_port = args.port
-    if getattr(args, "topic", None):
+    if args.topic is not None:
         config.mqtt_topic = args.topic
-    if getattr(args, "fps", None):
+    if args.fps is not None:
         config.camera_fps = args.fps
     return config
 
@@ -243,17 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stream = sub.add_parser("stream", help="publish an authenticated frame stream")
     add_common(p_stream, provision=True)
-    p_stream.add_argument("--host")
-    p_stream.add_argument("--port", type=_PORT)
-    p_stream.add_argument("--topic", type=_PUBLISH_TOPIC)
-    p_stream.add_argument("--fps", type=_FPS)
+    p_stream.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]))
+    p_stream.add_argument("--port", type=_flag(keystore.RULES["mqtt.port"]))
+    p_stream.add_argument("--topic", type=_flag(keystore.RULES["mqtt.topic"]))
+    p_stream.add_argument("--fps", type=_flag(keystore.RULES["camera.fps"]))
     p_stream.add_argument("--frames", type=_FRAMES)
     p_stream.add_argument("--duration", type=_SECONDS)
     p_stream.set_defaults(func=cmd_stream)
 
     p_sub = sub.add_parser("subscribe", help="collect frames from a topic")
-    p_sub.add_argument("--host", default="localhost")
-    p_sub.add_argument("--port", type=_PORT, default=broker_mod.DEFAULT_PORT)
+    p_sub.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]), default="localhost")
+    p_sub.add_argument(
+        "--port", type=_flag(keystore.RULES["mqtt.port"]), default=broker_mod.DEFAULT_PORT
+    )
     p_sub.add_argument("--topic", type=_TOPIC_FILTER, default="camera/stream")
     p_sub.add_argument("--frames", type=_FRAMES)
     p_sub.add_argument("--duration", type=_SECONDS)
@@ -262,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_broker = sub.add_parser("broker", help="run the embedded broker")
     p_broker.add_argument("--host", default="127.0.0.1")
-    p_broker.add_argument("--port", type=_BIND_PORT, default=broker_mod.DEFAULT_PORT)
+    p_broker.add_argument(
+        "--port", type=_BIND_PORT, default=broker_mod.DEFAULT_PORT, help="0 binds any free port"
+    )
     p_broker.set_defaults(func=cmd_broker)
 
     p_bench = sub.add_parser("bench", help="run the benchmark suite")

@@ -43,7 +43,6 @@ __all__ = [
     "EnclaveError",
     "LatencyModel",
     "ProvisioningError",
-    "provision",
     "CTRL_OFFSET",
     "KEY_WORD_OFFSETS",
     "RESULT_OFFSET",
@@ -283,12 +282,3 @@ class AuthEnclave:
             f"cycles={self.cycle_counter})"
         )
 
-
-def provision(image: bytes, model: Optional[LatencyModel] = None) -> AuthEnclave:
-    """Provision an enclave from a 32-byte secret image.
-
-    The image is the stand-in for the key baked into the device's
-    configuration artifact; once this returns, the secret is sealed
-    inside the enclave and only the one-bit verdict comes back out.
-    """
-    return AuthEnclave(image, model)

@@ -26,6 +26,9 @@ __all__ = [
     "ConfigError",
     "CredentialsError",
     "GatewayConfig",
+    "RULES",
+    "checked",
+    "nonempty",
     "parse_config",
     "parse_credentials",
     "parse_provisioning",
@@ -44,8 +47,8 @@ class CredentialsError(ValueError):
 class GatewayConfig:
     """Gateway settings: camera shape, MQTT endpoint, credential path.
 
-    Field defaults are the documented fallbacks for keys missing from
-    the config file.
+    Field ``a_b`` holds config key ``a.b``. Field defaults are the
+    documented fallbacks for keys missing from the config file.
     """
 
     camera_source: str = "synthetic"
@@ -60,59 +63,55 @@ class GatewayConfig:
     enclave_pipelined: bool = True
 
 
-def _parse_int(raw: str, lineno: int, key: str, lo: int, hi: int) -> int:
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {raw!r}") from None
-    if not lo <= value <= hi:
-        raise ConfigError(f"line {lineno}: {key} must be in [{lo}, {hi}], got {value}")
-    return value
+def checked(parse, ok, what: str):
+    """A rule: ``parse`` the raw text, then require ``ok(value)``.
+
+    A rule takes a setting's raw text and returns its value, or raises
+    ``ValueError`` saying what the value must be.
+    """
+
+    def rule(raw: str):
+        try:
+            value = parse(raw)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be {what}, got {raw!r}")
+
+    return rule
 
 
-def _parse_fps(raw: str, lineno: int, key: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise ConfigError(f"line {lineno}: {key} must be positive, got {value}")
-    return value
-
-
-def _parse_bool(raw: str, lineno: int, key: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise ConfigError(f"line {lineno}: {key} must be true or false, got {raw!r}")
-
-
-def _nonempty(raw: str, lineno: int, key: str) -> str:
+def nonempty(raw: str, validate=None) -> str:
+    """The rule for a string: not empty, and passing ``validate``, an ``mqtt`` validator."""
     if not raw:
-        raise ConfigError(f"line {lineno}: {key} must not be empty")
+        raise ValueError("must not be empty")
+    if validate is not None:
+        validate(raw)  # a FilterError is a ValueError
     return raw
 
 
-def _check_topic(raw: str, lineno: int, key: str) -> str:
-    try:
-        mqtt.validate_publish_topic(raw)  # the rule publish_header applies
-    except mqtt.FilterError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    return raw
+def _boolean(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return lowered == "true"
 
 
-# Dotted config key -> (GatewayConfig attribute, parser(raw, lineno, key)).
-_CONFIG_KEYS = {
-    "camera.source": ("camera_source", _nonempty),
-    "camera.width": ("camera_width", partial(_parse_int, lo=1, hi=1 << 16)),
-    "camera.height": ("camera_height", partial(_parse_int, lo=1, hi=1 << 16)),
-    "camera.fps": ("camera_fps", _parse_fps),
-    "mqtt.host": ("mqtt_host", _nonempty),
-    "mqtt.port": ("mqtt_port", partial(_parse_int, lo=1, hi=65535)),
-    "mqtt.topic": ("mqtt_topic", _check_topic),
-    "mqtt.client_id": ("mqtt_client_id", _nonempty),
-    "credentials.path": ("credentials_path", _nonempty),
-    "enclave.pipelined": ("enclave_pipelined", _parse_bool),
+_DIMENSION = checked(int, lambda v: 1 <= v <= 1 << 16, "an integer in [1, 65536]")
+
+# Dotted config key -> the rule for its value. Key ``a.b`` sets GatewayConfig.a_b.
+RULES = {
+    "camera.source": nonempty,
+    "camera.width": _DIMENSION,
+    "camera.height": _DIMENSION,
+    "camera.fps": checked(float, lambda v: v > 0, "a positive number"),
+    "mqtt.host": nonempty,
+    "mqtt.port": checked(int, lambda v: 1 <= v <= 65535, "an integer in [1, 65535]"),
+    "mqtt.topic": partial(nonempty, validate=mqtt.validate_publish_topic),
+    "mqtt.client_id": partial(nonempty, validate=mqtt.validate_client_id),
+    "credentials.path": nonempty,
+    "enclave.pipelined": _boolean,
 }
 
 
@@ -128,13 +127,16 @@ def parse_config(text: str) -> GatewayConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in RULES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, parse = _CONFIG_KEYS[key]
-        setattr(config, attr, parse(raw_value.strip(), lineno, key))
+        try:
+            value = RULES[key](raw_value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+        setattr(config, key.replace(".", "_"), value)
     return config
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "packet_length",
     "publish_header",
     "topic_matches",
+    "validate_client_id",
     "validate_filter",
     "validate_publish_topic",
 ]
@@ -80,7 +81,7 @@ class EncodeError(MqttCodecError):
 
 
 class FilterError(MqttCodecError, ValueError):
-    """Topic name or filter that MQTT 3.1.1 does not allow."""
+    """Topic name, filter or other string that MQTT 3.1.1 does not allow."""
 
 
 class PacketType(IntEnum):
@@ -218,26 +219,34 @@ def decode_remaining_length(data) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_topic_chars(value: str, what: str) -> None:
-    if not value:
-        raise FilterError(f"{what} must not be empty")
+def _check_string(value: str, what: str) -> bytes:
+    """The UTF-8 of ``value`` if MQTT can carry it as a string: no U+0000
+    and at most 65,535 bytes (MQTT 3.1.1 section 1.5.3)."""
     if "\x00" in value:
         raise FilterError(f"{what} must not contain U+0000")
-    if len(value.encode("utf-8")) > MAX_STRING_BYTES:
-        raise FilterError(f"{what} longer than {MAX_STRING_BYTES} bytes")
+    data = value.encode("utf-8")
+    if len(data) > MAX_STRING_BYTES:
+        raise FilterError(f"{what} must be at most {MAX_STRING_BYTES} bytes of UTF-8")
+    return data
 
 
-def validate_publish_topic(topic: str) -> None:
-    """Publish topics are concrete: wildcard characters are forbidden."""
-    _check_topic_chars(topic, "topic")
+def validate_publish_topic(topic: str) -> bytes:
+    """Publish topics are concrete: wildcard characters are forbidden.
+
+    Returns the topic's UTF-8, as do the other validators.
+    """
+    if not topic:
+        raise FilterError("topic must not be empty")
     if "+" in topic or "#" in topic:
         raise FilterError(f"publish topic must not contain wildcards: {topic!r}")
+    return _check_string(topic, "topic")
 
 
-def validate_filter(filter_: str) -> None:
+def validate_filter(filter_: str) -> bytes:
     """Enforce wildcard placement: # only as the final level, + only as
     a whole level."""
-    _check_topic_chars(filter_, "topic filter")
+    if not filter_:
+        raise FilterError("topic filter must not be empty")
     levels = filter_.split("/")
     for i, level in enumerate(levels):
         if "#" in level:
@@ -245,6 +254,13 @@ def validate_filter(filter_: str) -> None:
                 raise FilterError(f"# misplaced in filter: {filter_!r}")
         elif "+" in level and level != "+":
             raise FilterError(f"+ must occupy a whole level: {filter_!r}")
+    return _check_string(filter_, "topic filter")
+
+
+def validate_client_id(client_id: str) -> bytes:
+    """A CONNECT client id: any MQTT string (servers may allow more than
+    the 23 characters of 3.1.1 section 3.1.3.1)."""
+    return _check_string(client_id, "client id")
 
 
 def topic_matches(filter_: str, topic: str) -> bool:
@@ -274,12 +290,12 @@ def topic_matches(filter_: str, topic: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _encode_string(value: str, what: str) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > MAX_STRING_BYTES:
-        raise EncodeError(f"{what} longer than {MAX_STRING_BYTES} bytes")
-    if "\x00" in value:
-        raise EncodeError(f"{what} must not contain U+0000")
+def _encode_string(validate, value: str) -> bytes:
+    """``value`` as a length-prefixed MQTT string, once ``validate`` has passed it."""
+    try:
+        data = validate(value)
+    except FilterError as exc:
+        raise EncodeError(str(exc)) from exc
     return len(data).to_bytes(2, "big") + data
 
 
@@ -299,11 +315,7 @@ def _encode_packet_id(packet_id: int) -> bytes:
 
 def publish_header(topic: str, payload_len: int, retain: bool = False) -> bytes:
     """Wire bytes of a QoS 0 PUBLISH up to its payload: fixed header and topic."""
-    try:
-        validate_publish_topic(topic)
-    except FilterError as exc:
-        raise EncodeError(str(exc)) from exc
-    topic_field = _encode_string(topic, "topic")
+    topic_field = _encode_string(validate_publish_topic, topic)
     return _fixed_header(PacketType.PUBLISH, 0x01 if retain else 0x00, topic_field, payload_len)
 
 
@@ -314,10 +326,10 @@ def encode_packet(packet: MqttPacket) -> bytes:
             raise EncodeError(f"keep-alive out of range: {packet.keep_alive_s}")
         flags = 0x02 if packet.clean_session else 0x00
         body = (
-            _encode_string("MQTT", "protocol name")
+            b"\x00\x04MQTT"  # the protocol name
             + bytes([4, flags])
             + packet.keep_alive_s.to_bytes(2, "big")
-            + _encode_string(packet.client_id, "client id")
+            + _encode_string(validate_client_id, packet.client_id)
         )
         return _fixed_header(PacketType.CONNECT, 0, body)
 
@@ -334,13 +346,9 @@ def encode_packet(packet: MqttPacket) -> bytes:
         if not packet.filters:
             raise EncodeError("subscribe must carry at least one filter")
         for filter_, qos in packet.filters:
-            try:
-                validate_filter(filter_)
-            except FilterError as exc:
-                raise EncodeError(str(exc)) from exc
             if qos not in (0, 1, 2):
                 raise EncodeError(f"requested QoS out of range: {qos}")
-            body += _encode_string(filter_, "topic filter")
+            body += _encode_string(validate_filter, filter_)
             body.append(qos)
         return _fixed_header(PacketType.SUBSCRIBE, 0x02, bytes(body))
 
@@ -358,11 +366,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
         if not packet.filters:
             raise EncodeError("unsubscribe must carry at least one filter")
         for filter_ in packet.filters:
-            try:
-                validate_filter(filter_)
-            except FilterError as exc:
-                raise EncodeError(str(exc)) from exc
-            body += _encode_string(filter_, "topic filter")
+            body += _encode_string(validate_filter, filter_)
         return _fixed_header(PacketType.UNSUBSCRIBE, 0x02, bytes(body))
 
     if isinstance(packet, Unsuback):
@@ -414,7 +418,8 @@ class _Body:
             raise MalformedPacketError("packet id 0 is not allowed")
         return value
 
-    def string(self, what: str) -> str:
+    def string(self, what: str, validate=None) -> str:
+        """The next string, checked by ``validate`` or else by the MQTT string rule."""
         length = self.u16()
         if self._pos + length > len(self._data):
             raise MalformedPacketError(f"{what} truncated")
@@ -424,8 +429,13 @@ class _Body:
             value = str(raw, "utf-8")
         except UnicodeDecodeError:
             raise MalformedPacketError(f"{what} is not valid UTF-8") from None
-        if "\x00" in value:
-            raise MalformedPacketError(f"{what} contains U+0000")
+        try:
+            if validate is None:
+                _check_string(value, what)
+            else:
+                validate(value)
+        except FilterError as exc:
+            raise MalformedPacketError(str(exc)) from None
         return value
 
     def rest(self) -> bytes:
@@ -482,11 +492,7 @@ def _decode_publish(flags: int, body: _Body) -> Publish:
         raise MalformedPacketError("QoS levels above 0 are not supported")
     if flags & 0x08:
         raise MalformedPacketError("DUP must be 0 on a QoS 0 publish")
-    topic = body.string("topic")
-    try:
-        validate_publish_topic(topic)
-    except FilterError as exc:
-        raise MalformedPacketError(str(exc)) from exc
+    topic = body.string("topic", validate_publish_topic)
     return Publish(topic=topic, payload=body.rest(), retain=bool(flags & 0x01))
 
 

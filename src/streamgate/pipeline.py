@@ -254,6 +254,7 @@ def publish_stream(
     if not config.camera_fps > 0:
         raise ValueError(f"camera_fps must be positive, got {config.camera_fps}")
     mqtt.validate_publish_topic(config.mqtt_topic)  # a FilterError is a ValueError
+    mqtt.validate_client_id(config.mqtt_client_id)
 
     verdict = driver.authenticate(enclave, candidate)
     if not verdict.authorized:

@@ -28,7 +28,6 @@ from streamgate.enclave import (
     AuthEnclave,
     LatencyModel,
     key_bytes_to_words,
-    provision,
 )
 from streamgate.keystore import GatewayConfig
 from streamgate.subscriber import subscribe_and_collect
@@ -48,7 +47,7 @@ def test_criterion_1_attempt_table_replication():
     start = time.monotonic()
     rng = random.Random(2023)
     secret = bench.generate_secret(rng)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     summary = driver.run_attempt_suite(enclave, bench.generate_suite(secret, rng))
     elapsed = time.monotonic() - start
     ok = (
@@ -133,7 +132,7 @@ class _LogTap(logging.Handler):
 
 def _random_register_session(rng, observed: bytearray) -> bytes:
     secret = rng.randbytes(32)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     for _ in range(rng.randrange(2, 8)):
         candidate = rng.randbytes(rng.randrange(0, 33))
         for i, word in enumerate(key_bytes_to_words(candidate)):
@@ -182,7 +181,7 @@ def test_criterion_4_secret_opacity():
                 )
                 result = pipeline.publish_stream(
                     config,
-                    provision(secret),
+                    AuthEnclave(secret),
                     secret,
                     max_frames=3,
                     source=pipeline.SyntheticFrameSource(64, 64, frame_bytes=256),
@@ -248,7 +247,7 @@ def test_criterion_5_gate_integrity():
         )
         wrong = pipeline.publish_stream(
             config,
-            provision(secret),
+            AuthEnclave(secret),
             bench.generate_secret(rng),
             max_frames=frames,
             source=pipeline.SyntheticFrameSource(64, 64, frame_bytes=128),
@@ -257,7 +256,7 @@ def test_criterion_5_gate_integrity():
         wrong_count = broker.stats.publishes_received
         right = pipeline.publish_stream(
             config,
-            provision(secret),
+            AuthEnclave(secret),
             secret,
             max_frames=frames,
             source=pipeline.SyntheticFrameSource(64, 64, frame_bytes=128),
@@ -439,7 +438,7 @@ def test_criterion_8b_pipeline_through_external_broker(tmp_path):
         time.sleep(0.5)
         result = pipeline.publish_stream(
             config,
-            provision(secret),
+            AuthEnclave(secret),
             secret,
             max_frames=10,
             source=pipeline.SyntheticFrameSource(64, 64, frame_bytes=128),

@@ -9,7 +9,7 @@ import pytest
 from streamgate import bench, cli
 from streamgate.broker import Broker
 from streamgate.driver import run_attempt_suite
-from streamgate.enclave import provision
+from streamgate.enclave import AuthEnclave
 from streamgate.subscriber import subscribe_and_collect
 
 SECRET_HEX = "8d969eef6ecad3c29a3a629280e686cf0c3f5d5a86aff3ca12020c923adc6cb2"
@@ -58,7 +58,7 @@ def test_suite_replication_many_seeds():
     for seed in range(20):
         rng = random.Random(seed)
         secret = bench.generate_secret(rng)
-        summary = run_attempt_suite(provision(secret), bench.generate_suite(secret, rng))
+        summary = run_attempt_suite(AuthEnclave(secret), bench.generate_suite(secret, rng))
         assert (summary.successes, summary.failures) == (10, 22)
 
 
@@ -302,6 +302,44 @@ def test_cmd_stream_nul_topic_in_config_is_bad_input(workdir, capsys):
         assert broker.stats.connections_accepted == 0
     assert code == cli.EXIT_BAD_INPUT
     assert "mqtt.topic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("client_id", ["a\x00b", "c" * 70_000], ids=["nul", "over-65535-bytes"])
+def test_cmd_stream_bad_client_id_in_config_is_bad_input(workdir, capsys, client_id):
+    config = workdir / "id.cfg"
+    config.write_text((workdir / "gateway.cfg").read_text() + f"mqtt.client_id = {client_id}\n")
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(config),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "1",
+            ]
+        )
+        assert broker.stats.connections_accepted == 0
+    assert code == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "mqtt.client_id" in err
+    assert "Traceback" not in err
+
+
+def test_cmd_stream_empty_host_is_bad_input(workdir, capsys):
+    # It used to fall back to the config's host.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            [
+                "stream",
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "",
+                "--frames", "1",
+            ]
+        )
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    assert "argument --host: must" in capsys.readouterr().err
 
 
 def test_cmd_stream_and_subscribe_loopback(workdir, capsys):

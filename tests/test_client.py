@@ -9,7 +9,7 @@ import pytest
 
 from streamgate import mqtt
 from streamgate.client import ClientError, MqttConnection
-from streamgate.enclave import provision
+from streamgate.enclave import AuthEnclave
 from streamgate.keystore import GatewayConfig
 from streamgate.pipeline import SyntheticFrameSource, publish_stream
 from streamgate.subscriber import subscribe_and_collect
@@ -144,7 +144,7 @@ def gateway_config(port: int) -> GatewayConfig:
 def stream(port: int, frames: int = 3):
     return publish_stream(
         gateway_config(port),
-        provision(SECRET),
+        AuthEnclave(SECRET),
         SECRET,
         max_frames=frames,
         source=SyntheticFrameSource(64, 64, frame_bytes=64),

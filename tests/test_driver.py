@@ -12,7 +12,6 @@ from streamgate.enclave import (
     AuthEnclave,
     DeviceBusyError,
     LatencyModel,
-    provision,
 )
 from streamgate.keystore import parse_credentials
 
@@ -20,7 +19,7 @@ SECRET = bytes(range(1, 33))
 
 
 def test_correct_key_authorizes_in_34_cycles():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     verdict = driver.authenticate(enclave, SECRET)
     assert verdict.authorized
     assert verdict.cycles == 34
@@ -29,7 +28,7 @@ def test_correct_key_authorizes_in_34_cycles():
 
 
 def test_final_byte_mismatch_refused_same_latency():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     wrong = SECRET[:31] + bytes([SECRET[31] ^ 1])
     verdict = driver.authenticate(enclave, wrong)
     assert not verdict.authorized
@@ -37,14 +36,14 @@ def test_final_byte_mismatch_refused_same_latency():
 
 
 def test_empty_candidate_refused():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     verdict = driver.authenticate(enclave, b"")
     assert not verdict.authorized
     assert verdict.words_written == 0
 
 
 def test_unpipelined_mode_takes_64_cycles():
-    enclave = provision(SECRET, LatencyModel.unpipelined())
+    enclave = AuthEnclave(SECRET, LatencyModel.unpipelined())
     verdict = driver.authenticate(enclave, SECRET)
     assert verdict.authorized
     assert verdict.cycles == 64
@@ -56,7 +55,7 @@ def test_unpipelined_mode_takes_64_cycles():
     [(0, 0), (1, 1), (4, 1), (5, 2), (31, 8), (32, 8)],
 )
 def test_words_written_counts_padded_partial(length, expected_words):
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     verdict = driver.authenticate(enclave, bytes(length))
     assert verdict.words_written == expected_words
 
@@ -65,7 +64,7 @@ def test_partial_word_zero_padded():
     # 5-byte candidate occupies two words, the second zero-padded; it
     # matches a secret shaped the same way.
     secret = b"\x11\x22\x33\x44\x55" + bytes(27)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     verdict = driver.authenticate(enclave, b"\x11\x22\x33\x44\x55")
     assert verdict.authorized
     assert verdict.words_written == 2
@@ -73,31 +72,31 @@ def test_partial_word_zero_padded():
 
 def test_candidate_key_object_accepted():
     # What the credentials parser returns is what the driver takes.
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert driver.authenticate(enclave, parse_credentials(SECRET.hex())).authorized
 
 
 def test_oversized_candidate_is_driver_fault():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(driver.DriverFault):
         driver.authenticate(enclave, bytes(33))
 
 
 def test_non_bytes_candidate_is_driver_fault():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(driver.DriverFault):
         driver.authenticate(enclave, "deadbeef")
 
 
 def test_busy_enclave_propagates_device_busy():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     enclave.write_word(CTRL_OFFSET, CTRL_START_BIT)
     with pytest.raises(DeviceBusyError):
         driver.authenticate(enclave, SECRET)
 
 
 def test_back_to_back_transactions_reuse_enclave():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert driver.authenticate(enclave, SECRET).authorized
     assert not driver.authenticate(enclave, bytes(32)).authorized
     assert driver.authenticate(enclave, SECRET).authorized
@@ -118,7 +117,7 @@ def test_exhaustive_at_8_bit_width_via_driver():
 def test_statistical_rejection_at_full_width():
     rng = random.Random(2024)
     secret = rng.randbytes(32)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     assert driver.authenticate(enclave, secret).authorized
     for _ in range(10_000):
         candidate = rng.randbytes(32)
@@ -129,7 +128,7 @@ def test_statistical_rejection_at_full_width():
 
 def test_verdict_timing_has_zero_variance():
     rng = random.Random(7)
-    enclave = provision(rng.randbytes(32))
+    enclave = AuthEnclave(rng.randbytes(32))
     cycles = [
         driver.authenticate(enclave, rng.randbytes(rng.randrange(0, 33))).cycles
         for _ in range(200)
@@ -141,7 +140,7 @@ def test_verdict_timing_has_zero_variance():
 
 
 def test_suite_counts_paper_layout():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     suite = (
         [("correct", SECRET)] * 10
         + [("invalid", bytes([SECRET[0] ^ 4]) + SECRET[1:])] * 5
@@ -163,28 +162,28 @@ def test_suite_counts_paper_layout():
 
 
 def test_empty_suite():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     summary = driver.run_attempt_suite(enclave, [])
     assert summary.successes == 0
     assert summary.failures == 0
 
 
 def test_correct_only_suite():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     summary = driver.run_attempt_suite(enclave, [("correct", SECRET)] * 3)
     assert summary.successes == 3
     assert summary.failures == 0
 
 
 def test_suite_rejects_unknown_label():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(ValueError):
         driver.run_attempt_suite(enclave, [("mystery", SECRET)])
 
 
 def test_suite_totals_match_length():
     rng = random.Random(11)
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     labels = ["correct", "invalid", "incomplete", "empty", "wrong"]
     suite = [
         (rng.choice(labels), rng.randbytes(rng.randrange(0, 33))) for _ in range(64)

@@ -19,7 +19,6 @@ from streamgate.enclave import (
     LatencyModel,
     ProvisioningError,
     key_bytes_to_words,
-    provision,
 )
 
 SECRET = bytes(range(32))
@@ -45,47 +44,47 @@ def run_transaction(enclave, candidate: bytes) -> int:
 
 
 def test_provision_pipelined_latency():
-    enclave = provision(SECRET, LatencyModel.pipelined())
+    enclave = AuthEnclave(SECRET, LatencyModel.pipelined())
     assert enclave.model.latency_cycles == 34
     assert enclave.read_word(CTRL_OFFSET) & CTRL_IDLE_BIT
 
 
 def test_provision_unpipelined_latency():
-    enclave = provision(SECRET, LatencyModel.unpipelined())
+    enclave = AuthEnclave(SECRET, LatencyModel.unpipelined())
     assert enclave.model.latency_cycles == 64
 
 
 def test_provision_defaults_to_pipelined():
-    assert provision(SECRET).model.mode == "pipelined"
+    assert AuthEnclave(SECRET).model.mode == "pipelined"
 
 
 def test_provision_rejects_short_image():
     with pytest.raises(ProvisioningError):
-        provision(bytes(31))
+        AuthEnclave(bytes(31))
 
 
 def test_provision_rejects_long_image():
     with pytest.raises(ProvisioningError):
-        provision(bytes(33))
+        AuthEnclave(bytes(33))
 
 
 def test_provision_rejects_non_bytes():
     with pytest.raises(ProvisioningError):
-        provision("not bytes")  # type: ignore[arg-type]
+        AuthEnclave("not bytes")  # type: ignore[arg-type]
 
 
 # -- register map -----------------------------------------------------------
 
 
 def test_ctrl_reads_idle_after_reset():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     word = enclave.read_word(CTRL_OFFSET)
     assert word & CTRL_IDLE_BIT
     assert not word & CTRL_DONE_BIT
 
 
 def test_start_clears_idle_and_done():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     start(enclave)
     word = enclave.read_word(CTRL_OFFSET)
     assert not word & CTRL_IDLE_BIT
@@ -93,20 +92,20 @@ def test_start_clears_idle_and_done():
 
 
 def test_result_register_is_read_only():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(BusError):
         enclave.write_word(RESULT_OFFSET, 1)
 
 
 def test_key_ports_are_write_only():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(BusError):
         enclave.read_word(KEY_WORD_OFFSETS[1])
 
 
 @pytest.mark.parametrize("addr", [0x004, 0x07C, 0x0A0, 0x104, 0x081, 0xFFFF])
 def test_unmapped_offsets_bus_error(addr):
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(BusError):
         enclave.write_word(addr, 0)
     with pytest.raises(BusError):
@@ -114,7 +113,7 @@ def test_unmapped_offsets_bus_error(addr):
 
 
 def test_write_value_must_fit_32_bits():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(ValueError):
         enclave.write_word(KEY_WORD_OFFSETS[0], 1 << 32)
     with pytest.raises(ValueError):
@@ -122,7 +121,7 @@ def test_write_value_must_fit_32_bits():
 
 
 def test_write_while_busy_is_device_busy():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     start(enclave)
     with pytest.raises(DeviceBusyError):
         enclave.write_word(KEY_WORD_OFFSETS[0], 7)
@@ -131,7 +130,7 @@ def test_write_while_busy_is_device_busy():
 
 
 def test_write_while_done_unread_is_device_busy():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     start(enclave)
     enclave.step(enclave.model.latency_cycles)
     with pytest.raises(DeviceBusyError):
@@ -142,7 +141,7 @@ def test_write_while_done_unread_is_device_busy():
 
 
 def test_done_not_set_one_cycle_early():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     start(enclave)
     enclave.step(33)
     assert not enclave.read_word(CTRL_OFFSET) & CTRL_DONE_BIT
@@ -151,7 +150,7 @@ def test_done_not_set_one_cycle_early():
 
 
 def test_unpipelined_takes_64_cycles():
-    enclave = provision(SECRET, LatencyModel.unpipelined())
+    enclave = AuthEnclave(SECRET, LatencyModel.unpipelined())
     start(enclave)
     enclave.step(63)
     assert not enclave.read_word(CTRL_OFFSET) & CTRL_DONE_BIT
@@ -160,7 +159,7 @@ def test_unpipelined_takes_64_cycles():
 
 
 def test_step_zero_changes_nothing():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     start(enclave)
     def state():
         return (
@@ -177,20 +176,20 @@ def test_step_zero_changes_nothing():
 
 
 def test_step_rejects_negative():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(ValueError):
         enclave.step(-1)
 
 
 def test_elapsed_ns_pipelined():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert enclave.elapsed_ns() == 0
     enclave.step(34)
     assert enclave.elapsed_ns() == 340
 
 
 def test_elapsed_ns_unpipelined():
-    enclave = provision(SECRET, LatencyModel.unpipelined())
+    enclave = AuthEnclave(SECRET, LatencyModel.unpipelined())
     enclave.step(64)
     assert enclave.elapsed_ns() == 640
 
@@ -199,18 +198,18 @@ def test_elapsed_ns_unpipelined():
 
 
 def test_matching_candidate_authorizes():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert run_transaction(enclave, SECRET) & 1 == 1
 
 
 def test_mismatching_candidate_refused():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     wrong = bytes([SECRET[0] ^ 1]) + SECRET[1:]
     assert run_transaction(enclave, wrong) & 1 == 0
 
 
 def test_mismatch_in_final_byte_refused():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     wrong = SECRET[:31] + bytes([SECRET[31] ^ 0x80])
     assert run_transaction(enclave, wrong) & 1 == 0
 
@@ -218,7 +217,7 @@ def test_mismatch_in_final_byte_refused():
 def test_key_words_little_endian_layout():
     # Verified behaviorally: word i must hold bytes 4i..4i+3 of the key,
     # least significant byte first.
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     for i in range(8):
         expected = int.from_bytes(SECRET[4 * i : 4 * i + 4], "little")
         enclave.write_word(KEY_WORD_OFFSETS[i], expected)
@@ -228,7 +227,7 @@ def test_key_words_little_endian_layout():
 
 
 def test_result_read_resets_to_idle_and_clears_keys():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert run_transaction(enclave, SECRET) & 1 == 1
     word = enclave.read_word(CTRL_OFFSET)
     assert word & CTRL_IDLE_BIT and not word & CTRL_DONE_BIT
@@ -240,7 +239,7 @@ def test_result_read_resets_to_idle_and_clears_keys():
 
 
 def test_result_reads_zero_once_consumed():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     assert run_transaction(enclave, SECRET) & 1 == 1
     assert enclave.read_word(RESULT_OFFSET) == 0
 
@@ -248,7 +247,7 @@ def test_result_reads_zero_once_consumed():
 def test_unwritten_words_compare_as_zero():
     # A partial key authenticates only against a secret with a zero tail.
     secret = b"\xaa\xbb\xcc\xdd" + bytes(28)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     load_candidate(enclave, b"\xaa\xbb\xcc\xdd")
     start(enclave)
     enclave.step(34)
@@ -272,7 +271,7 @@ def cycles_to_done(enclave, candidate: bytes) -> int:
 def test_latency_is_candidate_independent():
     rng = random.Random(0xC0FFEE)
     secret = rng.randbytes(32)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     mismatch_word0 = bytes([secret[0] ^ 0xFF]) + secret[1:]
     mismatch_word7 = secret[:28] + bytes(b ^ 0xFF for b in secret[28:])
     candidates = [secret, mismatch_word0, mismatch_word7]
@@ -318,7 +317,7 @@ def test_no_secret_bytes_escape_randomized_transactions():
     rng = random.Random(0xDEAD)
     for _ in range(50):
         secret = rng.randbytes(32)
-        enclave = provision(secret)
+        enclave = AuthEnclave(secret)
         observed = bytearray()
         candidates = []
         for _ in range(rng.randrange(3, 12)):
@@ -342,7 +341,7 @@ def test_no_secret_bytes_escape_randomized_transactions():
 
 
 def test_instance_dict_holds_no_secret():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     state = repr(vars(enclave))
     for window in secret_windows(SECRET):
         assert window.hex() not in state
@@ -372,7 +371,7 @@ def reachable_objects(*roots):
 
 def test_secret_unreachable_from_enclave_object_graph():
     secret = random.Random(0x5EC).randbytes(32)
-    enclave = provision(secret)
+    enclave = AuthEnclave(secret)
     assert run_transaction(enclave, secret) == 1
     value = int.from_bytes(secret, "little")
     objects = reachable_objects(enclave, enclave._compare)

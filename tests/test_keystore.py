@@ -104,6 +104,23 @@ def test_property_every_config_topic_is_publishable(topic):
     mqtt.publish_header(config.mqtt_topic, 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(client_id=st.text(max_size=40))
+@example(client_id="a\x00b")
+@example(client_id="c" * 70_000)
+def test_property_every_config_client_id_can_connect(client_id):
+    try:
+        config = parse_config(f"mqtt.client_id = {client_id}")
+    except ConfigError:
+        return
+    mqtt.encode_packet(mqtt.Connect(client_id=config.mqtt_client_id))
+
+
+@pytest.mark.parametrize("raw, value", [("TRUE", True), ("False", False), ("tRuE", True)])
+def test_booleans_ignore_case(raw, value):
+    assert parse_config(f"enclave.pipelined = {raw}").enclave_pipelined is value
+
+
 def test_error_on_third_line():
     text = "mqtt.port = 1883\ncamera.width = 640\ncamera.fps = no\n"
     with pytest.raises(ConfigError, match="line 3"):

@@ -10,7 +10,7 @@ import pytest
 from streamgate import pipeline
 from streamgate.broker import Broker
 from streamgate.client import ClientError, MqttConnection
-from streamgate.enclave import provision
+from streamgate.enclave import AuthEnclave
 from streamgate.keystore import GatewayConfig
 from streamgate.pipeline import (
     DirectoryFrameSource,
@@ -180,7 +180,7 @@ def test_decode_rejects_garbage():
 def test_wrong_key_publishes_nothing():
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         result = publish_stream(
             config,
             enclave,
@@ -198,7 +198,7 @@ def test_wrong_key_publishes_nothing():
 def test_refusal_happens_without_any_broker():
     # No broker anywhere; a wrong key must still return cleanly.
     config = GatewayConfig(mqtt_host="127.0.0.1", mqtt_port=9, camera_fps=10)
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     result = publish_stream(config, enclave, b"", max_frames=1)
     assert not result.authorized
 
@@ -206,7 +206,7 @@ def test_refusal_happens_without_any_broker():
 def test_correct_key_publishes_exactly_bound():
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker, fps=200.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         result = publish_stream(
             config,
             enclave,
@@ -225,7 +225,7 @@ def test_correct_key_publishes_exactly_bound():
 def test_gate_integrity_randomized_candidates():
     rng = random.Random(1234)
     with Broker("127.0.0.1", 0) as broker:
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         expected = 0
         for trial in range(12):
             use_correct = rng.random() < 0.5
@@ -254,7 +254,7 @@ def test_gate_integrity_randomized_candidates():
 
 
 def test_requires_a_bound():
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(ValueError):
         publish_stream(GatewayConfig(), enclave, SECRET)
 
@@ -268,7 +268,7 @@ def test_non_positive_fps_refused_before_authenticating(monkeypatch, fps):
     # Nothing listens on port 9 either: a connect would raise ClientError.
     config = GatewayConfig(camera_fps=fps, mqtt_host="127.0.0.1", mqtt_port=9)
     with pytest.raises(ValueError, match="camera_fps"):
-        publish_stream(config, provision(SECRET), SECRET, max_frames=3)
+        publish_stream(config, AuthEnclave(SECRET), SECRET, max_frames=3)
 
 
 @pytest.mark.parametrize(
@@ -276,11 +276,20 @@ def test_non_positive_fps_refused_before_authenticating(monkeypatch, fps):
     ["cam/#", "cam/+/raw", "a\x00b", pytest.param("t" * 65_536, id="over-65535-bytes")],
 )
 def test_bad_topic_refused_before_authenticating(topic):
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with Broker("127.0.0.1", 0) as broker:
         with pytest.raises(ValueError, match="topic"):
             publish_stream(small_config(broker, topic=topic), enclave, SECRET, max_frames=3)
         assert broker.stats.connections_accepted == 0
+    assert enclave.cycle_counter == 0  # the enclave never ran
+
+
+@pytest.mark.parametrize("client_id", ["a\x00b", pytest.param("c" * 70_000, id="over-65535-bytes")])
+def test_bad_client_id_refused_before_authenticating(client_id):
+    enclave = AuthEnclave(SECRET)
+    config = GatewayConfig(mqtt_host="127.0.0.1", mqtt_port=9, mqtt_client_id=client_id)
+    with pytest.raises(ValueError, match="client id"):
+        publish_stream(config, enclave, SECRET, max_frames=3)
     assert enclave.cycle_counter == 0  # the enclave never ran
 
 
@@ -293,7 +302,7 @@ def test_unreachable_broker_raises_client_error():
     port = probe.getsockname()[1]
     probe.close()
     config = GatewayConfig(mqtt_host="127.0.0.1", mqtt_port=port, camera_fps=10)
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     with pytest.raises(ClientError):
         publish_stream(config, enclave, SECRET, max_frames=1)
 
@@ -301,7 +310,7 @@ def test_unreachable_broker_raises_client_error():
 def test_pacing_hits_target_rate():
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker, fps=40.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         result = publish_stream(
             config,
             enclave,
@@ -323,7 +332,7 @@ def test_measured_rate_counts_intervals_not_frames():
         config = small_config(broker, fps=2.0)
         result = publish_stream(
             config,
-            provision(SECRET),
+            AuthEnclave(SECRET),
             SECRET,
             max_frames=3,
             source=SyntheticFrameSource(64, 64, frame_bytes=64),
@@ -335,7 +344,7 @@ def test_measured_rate_counts_intervals_not_frames():
 def test_duration_bound_stops_stream():
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker, fps=30.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         result = publish_stream(
             config,
             enclave,
@@ -355,7 +364,7 @@ def test_wire_order_equals_acquisition_order():
         sub.subscribe("camera/stream")
 
         config = small_config(broker, fps=300.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         result = publish_stream(
             config,
             enclave,
@@ -382,7 +391,7 @@ def test_source_failure_aborts_with_partial_stats(tmp_path):
     (tmp_path / "b.bin").unlink()  # second acquisition will fail
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker, fps=100.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         with pytest.raises(StreamAborted) as err:
             publish_stream(config, enclave, SECRET, max_frames=10, source=source)
         assert err.value.stats.frames_sent >= 1
@@ -391,7 +400,7 @@ def test_source_failure_aborts_with_partial_stats(tmp_path):
 def test_mid_stream_disconnect_aborts_with_partial_stats():
     broker = Broker("127.0.0.1", 0).start()
     config = small_config(broker, fps=50.0)
-    enclave = provision(SECRET)
+    enclave = AuthEnclave(SECRET)
     outcome = {}
 
     def _stream():
@@ -438,7 +447,7 @@ def test_frames_are_acquired_on_the_calling_thread():
     with Broker("127.0.0.1", 0) as broker:
         result = publish_stream(
             small_config(broker, fps=200.0),
-            provision(SECRET),
+            AuthEnclave(SECRET),
             SECRET,
             max_frames=8,
             source=source,
@@ -454,7 +463,7 @@ def test_duration_bound_reads_at_most_one_frame_ahead():
     with Broker("127.0.0.1", 0) as broker:
         result = publish_stream(
             small_config(broker, fps=20.0),
-            provision(SECRET),
+            AuthEnclave(SECRET),
             SECRET,
             duration_s=0.5,
             source=source,
@@ -470,7 +479,7 @@ def test_duration_bound_takes_no_frame_it_does_not_send():
     with Broker("127.0.0.1", 0) as broker:
         result = publish_stream(
             small_config(broker, fps=10.0),
-            provision(SECRET),
+            AuthEnclave(SECRET),
             SECRET,
             duration_s=0.5,
             source=source,
@@ -485,7 +494,7 @@ def test_reused_source_is_paced_from_the_new_stream_start():
     source = SyntheticFrameSource(64, 64, frame_bytes=64)
     with Broker("127.0.0.1", 0) as broker:
         config = small_config(broker, fps=20.0)
-        enclave = provision(SECRET)
+        enclave = AuthEnclave(SECRET)
         sent = [
             publish_stream(config, enclave, SECRET, duration_s=0.5, source=source).stats.frames_sent
             for _ in range(2)
@@ -503,7 +512,7 @@ def test_interrupt_returns_partial_stats():
     with Broker("127.0.0.1", 0) as broker:
         result = publish_stream(
             small_config(broker, fps=200.0),
-            provision(SECRET),
+            AuthEnclave(SECRET),
             SECRET,
             max_frames=10,
             source=InterruptedSource(64, 64, frame_bytes=64),
