@@ -144,9 +144,7 @@ def run_loopback(
     width: int = 1920,
     height: int = 1080,
     frame_bytes: Optional[int] = None,
-    topic: str = "camera/stream",
     seed: int = 0,
-    sink_dir=None,
 ) -> FpsRun:
     """One publisher/broker/subscriber loop on localhost.
 
@@ -166,7 +164,6 @@ def run_loopback(
             camera_fps=target_fps,
             mqtt_host="127.0.0.1",
             mqtt_port=broker.port,
-            mqtt_topic=topic,
             mqtt_client_id=f"bench-publisher-{seed}",
         )
         report_box: dict = {}
@@ -175,10 +172,9 @@ def run_loopback(
             report_box["report"] = subscriber.subscribe_and_collect(
                 "127.0.0.1",
                 broker.port,
-                topic,
+                config.mqtt_topic,
                 max_frames=frames,
                 duration_s=frames / target_fps + 10.0,
-                sink_dir=sink_dir,
                 client_id=f"bench-subscriber-{seed}",
             )
 

@@ -231,11 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.set_defaults(func=cmd_stream)
 
     p_sub = sub.add_parser("subscribe", help="collect frames from a topic")
-    p_sub.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]), default="localhost")
-    p_sub.add_argument(
-        "--port", type=_flag(keystore.RULES["mqtt.port"]), default=broker_mod.DEFAULT_PORT
-    )
-    p_sub.add_argument("--topic", type=_TOPIC_FILTER, default="camera/stream")
+    config = GatewayConfig()  # the broker and topic that stream publishes to by default
+    p_sub.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]), default=config.mqtt_host)
+    p_sub.add_argument("--port", type=_flag(keystore.RULES["mqtt.port"]), default=config.mqtt_port)
+    p_sub.add_argument("--topic", type=_TOPIC_FILTER, default=config.mqtt_topic)
     p_sub.add_argument("--frames", type=_FRAMES)
     p_sub.add_argument("--duration", type=_SECONDS)
     p_sub.add_argument("--sink", help="directory for received frames")

@@ -11,12 +11,11 @@ The first call that reads takes the CONNACK and checks it: receiving,
 subscribing (after its SUBSCRIBE is sent), disconnecting and closing.
 A refusal raises :class:`ClientError` there.
 
-The calls block, but the socket under them does not. A send, and a
-read while part of a packet is in, is tried first; the connection
-waits for the socket only when it is full or has nothing to give, or
-before a read with nothing buffered. The ``timeout`` of
+The calls block through the socket's own timeout. Each read waits
+for what is left of its call's deadline, so the ``timeout`` of
 :meth:`MqttConnection.recv_packet` bounds the whole call, however the
-packet trickles in. An :class:`mqtt.PacketReader` reads and frames
+packet trickles in. A send gives up after waiting ``connect_timeout``
+for room in the socket. An :class:`mqtt.PacketReader` reads and frames
 packets, as in the broker, under the same 8 MiB cap: a packet that
 declares more ends the connection before it is buffered.
 """
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import select
 import socket
 import time
 from collections import deque
@@ -67,7 +65,6 @@ class MqttConnection:
         self.keep_alive_s = keep_alive_s
         self._connect_timeout = connect_timeout
         self._sock: Optional[socket.socket] = None
-        self._readable: Optional[select.poll] = None  # polls _sock for input
         self._connack_due = False
         self._reader = mqtt.PacketReader()
         self._pending: deque = deque()
@@ -87,10 +84,7 @@ class MqttConnection:
             )
         except OSError as exc:
             raise ClientError(f"cannot reach broker at {self.host}:{self.port}: {exc}") from exc
-        sock.setblocking(False)
         self._sock = sock
-        self._readable = select.poll()
-        self._readable.register(sock, select.POLLIN)
         connect = mqtt.Connect(self.client_id, self.keep_alive_s, clean_session=True)
         self._send(mqtt.encode_packet(connect))
         self._connack_due = True
@@ -178,7 +172,6 @@ class MqttConnection:
         """Close the socket at once, whatever is left unread."""
         self._connack_due = False
         self._reader.pending.clear()
-        self._readable = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -191,18 +184,13 @@ class MqttConnection:
         sock = self._sock
         if sock is None:
             raise ClientError("not connected")
+        if sock.gettimeout() != self._connect_timeout:  # a read left its own
+            sock.settimeout(self._connect_timeout)
         try:
-            try:
-                sent = sock.sendmsg(buffers)
-            except BlockingIOError:
-                sent = 0
+            sent = sock.sendmsg(buffers)
             for buf in buffers:
                 if sent < len(buf):  # the socket is full: wait for it to take the rest
-                    sock.settimeout(self._connect_timeout)
-                    try:
-                        sock.sendall(memoryview(buf)[sent:])
-                    finally:
-                        sock.setblocking(False)
+                    sock.sendall(memoryview(buf)[sent:])
                 sent = max(sent - len(buf), 0)
         except OSError as exc:
             if not self._connack_due:  # else keep it, so a refusal can still be read
@@ -224,27 +212,17 @@ class MqttConnection:
                 return None
             if packet is not None:
                 return packet
-            if not self._reader.pending:
-                # The last read ended on a packet boundary, so the socket is
-                # most likely empty: on an idle stream a read that finds it so
-                # costs more than the wait that must follow it anyway.
-                self._wait_readable(deadline)
+            left = None if deadline is None else max(deadline - time.monotonic(), 0)
+            self._sock.settimeout(left)  # 0 once the deadline is past: take what is in
             try:
                 if self._reader.recv(self._sock):
                     continue
-            except BlockingIOError:
-                self._wait_readable(deadline)
-                continue
+            except (TimeoutError, BlockingIOError):  # a timeout of 0 raises the latter
+                raise TimeoutError("no packet within timeout") from None
             except OSError:
                 pass
             self._drop()  # end of input or a socket error
             return None
-
-    def _wait_readable(self, deadline: Optional[float]) -> None:
-        """Wait until the socket has input; TimeoutError once ``deadline`` passes."""
-        left_ms = None if deadline is None else max((deadline - time.monotonic()) * 1000, 0)
-        if not self._readable.poll(left_ms):
-            raise TimeoutError("no packet within timeout")
 
     def _await_packet(self, packet_cls, deadline: Optional[float]):
         """Read until a packet of the wanted class arrives; queue the rest."""

@@ -122,20 +122,20 @@ def subscribe_and_collect(
     conn.connect()
     try:
         conn.subscribe(topic_filter)
+        log.info("subscribed to %s", topic_filter)
         deadline = None if duration_s is None else time.monotonic() + duration_s
         while True:
             if max_frames is not None and report.frames_received >= max_frames:
                 break
-            if deadline is not None:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    break
-            else:
-                wait = 1.0
+            # Checked before each call, so a stream that never pauses cannot
+            # keep collection running past its duration.
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                break
             try:
-                packet = conn.recv_packet(timeout=min(wait, 1.0))
+                packet = conn.recv_packet(timeout=left)
             except TimeoutError:
-                continue
+                break
             if packet is None:
                 log.info("broker closed the connection, ending collection")
                 break

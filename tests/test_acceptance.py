@@ -201,6 +201,8 @@ def test_criterion_4_secret_opacity():
                     payload_blob += pipeline.decode_payload(packet.payload)
                     collected += 1
             tap_conn.disconnect()
+            # A subscriber's own log lines, "subscribed to" among them.
+            subscribe_and_collect("127.0.0.1", broker.port, "camera/#", duration_s=0.1)
     finally:
         root.removeHandler(tap)
         root.setLevel(old_level)
@@ -218,7 +220,8 @@ def test_criterion_4_secret_opacity():
                 or window.hex() in log_text
             ):
                 occurrences += 1
-    ok = occurrences == 0 and len(secrets) >= 112 and collected == 36
+    subscribed = any(line.endswith("subscribed to camera/#") for line in tap.lines)
+    ok = occurrences == 0 and len(secrets) >= 112 and collected == 36 and subscribed
     report(
         4,
         "secret opacity",

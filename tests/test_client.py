@@ -11,7 +11,7 @@ from streamgate import mqtt
 from streamgate.client import ClientError, MqttConnection
 from streamgate.enclave import AuthEnclave
 from streamgate.keystore import GatewayConfig
-from streamgate.pipeline import SyntheticFrameSource, publish_stream
+from streamgate.pipeline import SyntheticFrameSource, encode_payload, publish_stream
 from streamgate.subscriber import subscribe_and_collect
 
 SECRET = bytes(range(100, 132))
@@ -361,4 +361,90 @@ def test_a_trickling_broker_cannot_hold_a_subscriber_past_its_duration():
     report = subscribe_and_collect("127.0.0.1", port, "t", duration_s=0.5)
     assert time.monotonic() - start < 2.0
     assert report.frames_received == 0
+    result()
+
+
+def test_a_flooding_broker_cannot_hold_a_subscriber_past_its_duration():
+    # The socket is never empty, so only the deadline can end collection.
+    frame = SyntheticFrameSource(64, 64, frame_bytes=65536).frame_at(0)
+    burst = mqtt.encode_packet(mqtt.Publish(topic="t", payload=encode_payload(frame))) * 16
+
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack(), mqtt.Suback(packet_id=1, granted=(0,)))
+        give_up = time.monotonic() + 5.0  # so a subscriber that overstays fails, not hangs
+        try:
+            while time.monotonic() < give_up:
+                peer.sock.sendall(burst)
+        except OSError:  # the subscriber has gone
+            pass
+
+    port, result = serve_one(script)
+    start = time.monotonic()
+    report = subscribe_and_collect("127.0.0.1", port, "t", duration_s=0.5)
+    assert time.monotonic() - start < 1.5
+    assert report.frames_received > 0
+    result()
+
+
+# -- the waits: a read bounded by its call, a send by the connect timeout ------------
+
+
+def test_recv_timeout_zero_takes_a_packet_already_in_and_never_waits():
+    answered = threading.Event()
+
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack(), mqtt.Pingresp())
+        peer.read(1)
+        peer.send(mqtt.Pingresp())
+        answered.set()
+        return peer.read_to_end()
+
+    port, result = serve_one(script)
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    conn.ping()
+    assert conn.recv_packet(timeout=2.0) == mqtt.Pingresp()
+    conn.ping()
+    assert answered.wait(2.0)
+    time.sleep(0.1)  # for loopback to deliver it
+    assert conn.recv_packet(timeout=0) == mqtt.Pingresp()
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        conn.recv_packet(timeout=0)
+    assert time.monotonic() - start < 0.05
+    conn.close()
+    result()
+
+
+@pytest.mark.parametrize("read_timeout", [None, 0])
+def test_a_send_to_a_peer_that_never_reads_gives_up_after_the_connect_timeout(
+    read_timeout,
+):
+    # Whatever wait the last read used, a send waits for connect_timeout.
+    answered = threading.Event()
+    done = threading.Event()
+
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack(), mqtt.Pingresp())
+        answered.set()
+        done.wait(10.0)  # never reads the publish
+
+    port, result = serve_one(script)
+    conn = MqttConnection("127.0.0.1", port, "pub", connect_timeout=0.3)
+    conn.connect()
+    conn.ping()
+    assert answered.wait(2.0)
+    time.sleep(0.1)  # for loopback to deliver both
+    assert conn.recv_packet(timeout=read_timeout) == mqtt.Pingresp()
+    start = time.monotonic()
+    try:
+        with pytest.raises(ClientError, match="send failed"):
+            conn.publish("big", bytes(16 << 20))
+        assert 0.25 <= time.monotonic() - start < 0.8
+    finally:
+        done.set()
+        conn.close()
     result()

@@ -1,6 +1,7 @@
 """Delivery collection, fault isolation, and disk sink behavior."""
 
 import hashlib
+import logging
 import socket
 import threading
 import time
@@ -95,6 +96,18 @@ def test_empty_topic_times_out_cleanly():
     assert report.frames_received == 0
     assert report.measured_fps is None
     assert 0.9 <= elapsed <= 3.0
+
+
+def test_subscribed_is_logged_before_collection_starts(caplog):
+    # Scripts wait for this line before they start a stream: QoS 0 keeps
+    # nothing for a subscriber that is not subscribed yet.
+    caplog.set_level(logging.INFO, logger="streamgate.subscriber")
+    with Broker("127.0.0.1", 0) as broker:
+        report = subscribe_and_collect("127.0.0.1", broker.port, TOPIC, max_frames=0)
+    messages = [r.getMessage() for r in caplog.records if r.name == "streamgate.subscriber"]
+    assert report.frames_received == 0
+    assert messages[0] == f"subscribed to {TOPIC}"
+    assert messages[-1].startswith("collection done")
 
 
 def test_broker_shutdown_ends_collection_cleanly():
