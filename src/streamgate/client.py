@@ -43,7 +43,7 @@ class ClientError(Exception):
 class MqttConnection:
     """One client session against a broker.
 
-    Use as a context manager or call :meth:`close` explicitly. Incoming
+    End it with :meth:`disconnect` or :meth:`close`. Incoming
     packets that arrive while waiting for an acknowledgement are queued
     and handed out by later :meth:`recv_packet` calls, so packet order
     is preserved. :meth:`publish` and :meth:`ping` never wait for the
@@ -68,13 +68,6 @@ class MqttConnection:
         self._connack_due = False
         self._reader = mqtt.PacketReader()
         self._pending: deque = deque()
-
-    def __enter__(self) -> "MqttConnection":
-        self.connect()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def connect(self) -> None:
         """Open the TCP connection and send CONNECT; the CONNACK is read later."""
@@ -102,9 +95,9 @@ class MqttConnection:
             raise ClientError("broker closed the connection during subscribe")
         if ack.packet_id != packet_id:
             raise ClientError(f"suback for unexpected packet id {ack.packet_id}")
-        if ack.granted and ack.granted[0] == 0x80:
+        if ack.granted[0] == 0x80:
             raise ClientError(f"broker rejected filter {topic_filter!r}")
-        return ack.granted[0] if ack.granted else 0
+        return ack.granted[0]
 
     def ping(self) -> None:
         self._send(mqtt.encode_packet(mqtt.Pingreq()))

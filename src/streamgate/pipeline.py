@@ -5,7 +5,8 @@ topic at the configured rate. The whole stream is gated on one
 enclave authentication up front: a refused key means nothing ever
 touches the network, not even a TCP connect.
 
-Frames are opaque bytes; there is no image codec here. The synthetic
+Every frame, from either source, is its 8-byte big-endian index and
+then opaque bytes; there is no image codec here. The synthetic
 source stands in for a camera and produces deterministic frames so
 content integrity can be checked end to end by hash. Its frame size
 scales with the configured resolution at roughly the footprint of a
@@ -104,6 +105,14 @@ class StreamResult:
 # ---------------------------------------------------------------------------
 
 
+def _with_index(index: int, body: Union[bytes, memoryview]) -> bytes:
+    """A frame as both sources build it: the index, 8 bytes big-endian, then the body.
+
+    The subscriber reads the index back to check order and name sink files.
+    """
+    return b"".join((index.to_bytes(INDEX_HEADER_BYTES, "big"), body))
+
+
 def synthetic_frame_length(width: int, height: int) -> int:
     """Deterministic frame size for the synthetic source.
 
@@ -149,17 +158,11 @@ class SyntheticFrameSource:
 
     def frame_at(self, index: int) -> Frame:
         start = index * self._stride % self._period
-        data = b"".join(
-            (
-                index.to_bytes(INDEX_HEADER_BYTES, "big"),
-                self._noise[start : start + self._body_len],
-            )
-        )
         return Frame(
             index=index,
             width=self.width,
             height=self.height,
-            bytes=data,
+            bytes=_with_index(index, self._noise[start : start + self._body_len]),
             captured_at=time.monotonic(),
         )
 
@@ -170,7 +173,10 @@ class SyntheticFrameSource:
 
 
 class DirectoryFrameSource:
-    """Cycles through the files of a directory in lexicographic order."""
+    """Cycles through the files of a directory in lexicographic order.
+
+    Each frame is the index header, then the bytes of one file.
+    """
 
     def __init__(self, directory: Union[str, Path], width: int, height: int):
         self.directory = Path(directory)
@@ -189,7 +195,7 @@ class DirectoryFrameSource:
             index=self._index,
             width=self.width,
             height=self.height,
-            bytes=path.read_bytes(),
+            bytes=_with_index(self._index, path.read_bytes()),
             captured_at=time.monotonic(),
         )
         self._index += 1

@@ -6,17 +6,16 @@ frame. This replaces a visual dashboard with something auditable:
 content hashes and on-disk artifacts.
 
 A payload that fails base64 decoding is counted and skipped; one bad
-message must not take the stream down. Disk writes go through a
-bounded queue (64 frames) so a slow disk lags receipt instead of
-stalling it; overflow is counted as a write drop in the report.
+message must not take the stream down. Each frame is written on the
+receiving thread before the next read, so every received frame is on
+disk or counted as a write drop. A slow disk holds up receipt; what
+that costs is dropped, and counted, at the broker's outbox.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +27,6 @@ from .client import MqttConnection
 __all__ = ["DeliveryReport", "subscribe_and_collect"]
 
 log = logging.getLogger(__name__)
-
-WRITE_QUEUE_FRAMES = 64
 
 
 @dataclass
@@ -60,40 +57,6 @@ def _frame_index(data: bytes) -> Optional[int]:
     return int.from_bytes(data[: pipeline.INDEX_HEADER_BYTES], "big")
 
 
-class _SinkWriter:
-    """Writes frames to numbered files off the receive path."""
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=WRITE_QUEUE_FRAMES)
-        self._thread = threading.Thread(target=self._loop, name="frame-sink", daemon=True)
-        self._thread.start()
-
-    def offer(self, name_index: int, data: bytes) -> bool:
-        try:
-            self._queue.put_nowait((name_index, data))
-            return True
-        except queue.Full:
-            return False
-
-    def _loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            name_index, data = item
-            path = self.directory / f"frame_{name_index:06d}.bin"
-            try:
-                path.write_bytes(data)
-            except OSError as exc:
-                log.warning("sink write failed for %s: %s", path, exc)
-
-    def finish(self) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout=5.0)
-
-
 def subscribe_and_collect(
     host: str,
     port: int,
@@ -114,7 +77,9 @@ def subscribe_and_collect(
     if max_frames is None and duration_s is None:
         raise ValueError("need a frame-count or duration bound")
     report = DeliveryReport()
-    sink = _SinkWriter(Path(sink_dir)) if sink_dir is not None else None
+    if sink_dir is not None:
+        sink_dir = Path(sink_dir)
+        sink_dir.mkdir(parents=True, exist_ok=True)
     last_index: Optional[int] = None
     fallback_name = 0
 
@@ -161,17 +126,19 @@ def subscribe_and_collect(
                     report.out_of_order_count += 1
                 last_index = index
 
-            if sink is not None:
+            if sink_dir is not None:
                 name = index if index is not None else fallback_name
-                if not sink.offer(name, data):
+                path = sink_dir / f"frame_{name:06d}.bin"
+                try:
+                    path.write_bytes(data)
+                except OSError as exc:
                     report.write_drop_count += 1
+                    log.warning("sink write failed for %s: %s", path, exc)
             fallback_name += 1
     except KeyboardInterrupt:
         log.info("collection interrupted after %d frames", report.frames_received)
     finally:
         conn.disconnect()
-        if sink is not None:
-            sink.finish()
 
     log.info(
         "collection done: %d frames, %d decode failures, %d out of order",

@@ -16,6 +16,7 @@ from streamgate import broker as broker_module
 from streamgate import mqtt
 from streamgate.broker import Broker, SubscriptionTable
 from streamgate.client import MqttConnection
+from streamgate.pipeline import SyntheticFrameSource
 
 
 @pytest.fixture
@@ -315,6 +316,57 @@ def test_slow_subscriber_messages_dropped(monkeypatch):
         assert broker.stats.messages_delivered < 64
         pub.disconnect()
         sock.close()
+
+
+def test_full_socket_resumes_where_it_stopped(broker):
+    # A subscriber with a 4 KiB receive buffer that stops reading makes
+    # sendmsg take part of a packet, then the broker waits for EVENT_WRITE
+    # and resumes from the unsent tail once the subscriber drains.
+    source = SyntheticFrameSource(64, 64, frame_bytes=86_000)
+    payloads = [source.frame_at(i).bytes for i in range(150)]
+    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    slow.connect(("127.0.0.1", broker.port))
+    slow.sendall(
+        mqtt.encode_packet(mqtt.Connect(client_id="slow"))
+        + mqtt.encode_packet(mqtt.Subscribe(packet_id=1, filters=(("t", 0),)))
+    )
+    assert [type(p) for p in recv_packets(slow, 2)] == [mqtt.Connack, mqtt.Suback]
+
+    fast = connect(broker, "fast")
+    fast.subscribe("t")
+    fast_received = []
+
+    def read_fast():
+        while len(fast_received) < len(payloads):
+            packet = fast.recv_packet(timeout=10.0)
+            if packet is None:
+                return
+            fast_received.append(packet.payload)
+
+    reader = threading.Thread(target=read_fast, daemon=True)
+    reader.start()
+    pub = connect(broker, "pub")
+    for i, payload in enumerate(payloads):
+        # Keep the fast subscriber close behind, so only the slow one backs up.
+        wait_until(lambda: len(fast_received) >= i - 8, timeout=10.0, what="fast reader")
+        pub.publish("t", payload)
+    reader.join(timeout=10.0)
+    assert fast_received == payloads
+    wait_until(
+        lambda: broker.stats.messages_delivered + broker.stats.messages_dropped == 300,
+        what="every publish routed",
+    )
+    slow_count = broker.stats.messages_delivered - len(payloads)
+    slow_received = [p.payload for p in recv_packets(slow, slow_count, timeout=5.0)]
+    assert len(slow_received) == slow_count
+    indices = [int.from_bytes(p[:8], "big") for p in slow_received]
+    assert indices == sorted(set(indices))
+    assert slow_received == [payloads[i] for i in indices]
+    assert slow_count + broker.stats.messages_dropped == len(payloads)
+    pub.disconnect()
+    fast.disconnect()
+    slow.close()
 
 
 # -- subscription table --------------------------------------------------------------

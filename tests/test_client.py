@@ -210,6 +210,25 @@ def test_subscribe_is_sent_before_the_connack_is_read():
     assert after == [mqtt.Disconnect()]
 
 
+def test_a_publish_before_the_suback_is_kept_for_recv_packet():
+    # MQTT 3.1.1 section 3.8.4: a server may send PUBLISH packets for the
+    # new subscription before its SUBACK.
+    early = mqtt.Publish(topic="cam/1", payload=b"early frame")
+
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack(), early, mqtt.Suback(packet_id=1, granted=(0,)))
+        return peer.read_to_end()
+
+    port, result = serve_one(script)
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    assert conn.subscribe("cam/#") == 0
+    assert conn.recv_packet(timeout=2.0) == early
+    conn.disconnect()
+    assert result() == [mqtt.Disconnect()]
+
+
 def test_disconnect_waits_for_the_connack_before_its_disconnect():
     # Else the broker could take the same client id's next CONNECT first.
     def script(peer):

@@ -21,6 +21,7 @@ from streamgate.pipeline import (
     encode_payload,
     publish_stream,
 )
+from streamgate.subscriber import subscribe_and_collect
 
 SECRET = bytes(range(100, 132))
 
@@ -107,9 +108,45 @@ def test_directory_lexicographic_order(tmp_path):
     (tmp_path / "b.bin").write_bytes(b"second")
     (tmp_path / "a.bin").write_bytes(b"first")
     source = DirectoryFrameSource(tmp_path, 64, 64)
-    assert source.next_frame().bytes == b"first"
-    assert source.next_frame().bytes == b"second"
-    assert source.next_frame().bytes == b"first"  # cycles
+    assert source.next_frame().bytes == (0).to_bytes(8, "big") + b"first"
+    assert source.next_frame().bytes == (1).to_bytes(8, "big") + b"second"
+    assert source.next_frame().bytes == (2).to_bytes(8, "big") + b"first"  # cycles
+
+
+def test_directory_frames_arrive_in_order_under_their_own_names(tmp_path):
+    # Files that share their first 8 bytes, as JPEG headers do: the
+    # subscriber must read each frame's index, not the file's header.
+    frames_dir = tmp_path / "in"
+    frames_dir.mkdir()
+    files = [frames_dir / f"{name}.jpg" for name in "abc"]
+    for path in files:
+        path.write_bytes(b"\xff\xd8\xff\xe0\x00\x10JFIF" + path.stem.encode())
+    sink = tmp_path / "out"
+    box = {}
+    with Broker("127.0.0.1", 0) as broker:
+
+        def collect():
+            box["report"] = subscribe_and_collect(
+                "127.0.0.1", broker.port, "camera/stream",
+                max_frames=3, duration_s=8.0, sink_dir=sink,
+            )
+
+        collector = threading.Thread(target=collect, daemon=True)
+        collector.start()
+        deadline = time.monotonic() + 3.0
+        while broker.table.filter_count() == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        source = DirectoryFrameSource(frames_dir, 64, 64)
+        config = small_config(broker, fps=50.0)
+        publish_stream(config, AuthEnclave(SECRET), SECRET, max_frames=3, source=source)
+        collector.join(timeout=8.0)
+    report = box["report"]
+    assert report.frames_received == 3
+    assert report.out_of_order_count == 0
+    assert sorted(p.name for p in sink.iterdir()) == [f"frame_{i:06d}.bin" for i in range(3)]
+    for i, path in enumerate(files):
+        expected = i.to_bytes(8, "big") + path.read_bytes()
+        assert (sink / f"frame_{i:06d}.bin").read_bytes() == expected
 
 
 def test_empty_directory_is_source_error(tmp_path):

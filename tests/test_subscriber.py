@@ -5,6 +5,7 @@ import logging
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,63 @@ def test_sink_writes_numbered_files(tmp_path):
     for i, frame in enumerate(frames):
         assert (sink / f"frame_{i:06d}.bin").read_bytes() == frame.bytes
     assert box["report"].write_drop_count == 0
+
+
+def test_slow_sink_writes_leave_every_frame_on_disk_or_counted(tmp_path, monkeypatch):
+    # A write that takes 0.2 s holds up receipt; the duration bound then ends
+    # collection with frames unread, never with frames received but unwritten.
+    real_write_bytes = Path.write_bytes
+
+    def slow_write_bytes(path, data):
+        time.sleep(0.2)
+        return real_write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", slow_write_bytes)
+    source = SyntheticFrameSource(64, 64, frame_bytes=64)
+    sink = tmp_path / "frames"
+    with Broker("127.0.0.1", 0) as broker:
+        box = {}
+        thread = collect_in_thread(broker, box, duration_s=1.0, sink_dir=sink)
+        publish_frames(broker, [source.frame_at(i) for i in range(60)])
+        thread.join(timeout=10.0)
+    report = box["report"]
+    assert report.frames_received > 0
+    assert len(list(sink.iterdir())) == report.frames_received - report.write_drop_count
+
+
+def test_failed_sink_write_is_counted_and_the_rest_are_written(tmp_path):
+    source = SyntheticFrameSource(64, 64, frame_bytes=64)
+    frames = [source.frame_at(i) for i in range(4)]
+    sink = tmp_path / "frames"
+    (sink / "frame_000001.bin").mkdir(parents=True)  # a name no file can take
+    with Broker("127.0.0.1", 0) as broker:
+        box = {}
+        thread = collect_in_thread(
+            broker, box, max_frames=4, duration_s=8.0, sink_dir=sink
+        )
+        publish_frames(broker, frames)
+        thread.join(timeout=8.0)
+    assert box["report"].frames_received == 4
+    assert box["report"].write_drop_count == 1
+    for i in (0, 2, 3):
+        assert (sink / f"frame_{i:06d}.bin").read_bytes() == frames[i].bytes
+
+
+def test_sink_starts_no_thread(tmp_path, monkeypatch):
+    with Broker("127.0.0.1", 0) as broker:
+        started = []
+        real_start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        subscribe_and_collect(
+            "127.0.0.1", broker.port, TOPIC, max_frames=0, sink_dir=tmp_path / "frames"
+        )
+        monkeypatch.undo()
+    assert started == []
 
 
 def test_measured_fps_from_arrival_times():
