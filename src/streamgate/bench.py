@@ -130,7 +130,7 @@ class FpsRun:
     frames_requested: int
     frames_sent: int
     frames_received: int
-    publisher_fps: float
+    publisher_fps: Optional[float]
     subscriber_fps: Optional[float]
     hashes_match: bool
     indices_increasing: bool
@@ -205,9 +205,7 @@ def run_loopback(
     publisher_fps = result.stats.measured_fps
     subscriber_fps = report.measured_fps
     lo, hi = target_fps * (1 - FPS_TOLERANCE), target_fps * (1 + FPS_TOLERANCE)
-    within = lo <= publisher_fps <= hi and (
-        subscriber_fps is not None and lo <= subscriber_fps <= hi
-    )
+    within = all(fps is not None and lo <= fps <= hi for fps in (publisher_fps, subscriber_fps))
     return FpsRun(
         target_fps=target_fps,
         frames_requested=frames,
@@ -250,9 +248,8 @@ class BenchReport:
             lines.append(f"{prefix}.frames_requested: {run.frames_requested}")
             lines.append(f"{prefix}.frames_sent: {run.frames_sent}")
             lines.append(f"{prefix}.frames_received: {run.frames_received}")
-            lines.append(f"{prefix}.publisher_fps: {run.publisher_fps:.3f}")
-            sub = "n/a" if run.subscriber_fps is None else f"{run.subscriber_fps:.3f}"
-            lines.append(f"{prefix}.subscriber_fps: {sub}")
+            lines.append(f"{prefix}.publisher_fps: {pipeline.rate_text(run.publisher_fps)}")
+            lines.append(f"{prefix}.subscriber_fps: {pipeline.rate_text(run.subscriber_fps)}")
             lines.append(f"{prefix}.hashes_match: {str(run.hashes_match).lower()}")
             lines.append(f"{prefix}.within_tolerance: {str(run.within_tolerance).lower()}")
         for i, note in enumerate(self.notes):

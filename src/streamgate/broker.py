@@ -20,7 +20,10 @@ stream wants freshness, not completeness. Sessions read through their
 own ``mqtt.PacketReader`` into one shared 64 KiB buffer; one whose
 packet declares more than 8 MiB is closed once its fixed header is in.
 A socket must open with a CONNECT no longer than the codec accepts, and
-within ``CONNECT_TIMEOUT_S``, or it is closed.
+within ``CONNECT_TIMEOUT_S``, or it is closed. When the process runs out
+of file descriptors the broker stops watching its listener, whose
+pending connection would keep it readable, until a session closes or
+``ACCEPT_RETRY_S`` passes.
 
 Log lines carry client ids, topics, and byte counts only, never
 payload content.
@@ -28,6 +31,7 @@ payload content.
 
 from __future__ import annotations
 
+import errno
 import logging
 import selectors
 import socket
@@ -44,6 +48,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PORT = 1883
 KEEP_ALIVE_GRACE = 1.5
 CONNECT_TIMEOUT_S = 10.0  # from accept to CONNECT, MQTT 3.1.1 section 3.1.4
+ACCEPT_RETRY_S = 1.0  # out of descriptors with no session to close, try again after this
 _IOV_MAX = 1024  # buffers per sendmsg call, the Linux and BSD limit
 
 
@@ -150,6 +155,7 @@ class Broker:
         self._read_buffer = bytearray(64 * 1024)
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
+        self._accept_paused_until: Optional[float] = None  # set while the listener is unwatched
         self._waker: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -224,13 +230,20 @@ class Broker:
                     key.fileobj.close()  # the listener and the waker's end
                 else:
                     self._close(key.data, "broker shutdown")
+            self._listener.close()  # also when it is not being watched
             selector.close()
 
     def _accept(self) -> None:
         try:
             sock, address = self._listener.accept()
-        except OSError:  # nothing pending, or the peer already gave up
-            return
+        except OSError as exc:
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                # The connection stays pending and the listener readable: stop
+                # watching it for a while, or the loop would spin.
+                log.warning("out of file descriptors, accept paused")
+                self._selector.unregister(self._listener)
+                self._accept_paused_until = time.monotonic() + ACCEPT_RETRY_S
+            return  # else nothing pending, or the peer already gave up
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.stats.connections_accepted += 1
@@ -348,9 +361,16 @@ class Broker:
         self._timed.discard(session)
         self._selector.unregister(session.sock)
         session.sock.close()
+        if self._accept_paused_until is not None:
+            self._resume_accept()
+
+    def _resume_accept(self) -> None:
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._accept_paused_until = None
 
     def _expire_idle(self) -> Optional[float]:
-        """Close sessions past their deadline; seconds until the next deadline."""
+        """Close sessions past their deadline, and resume a paused accept when due;
+        seconds until the next deadline."""
         now = time.monotonic()
         timeout = None
         for session in list(self._timed):
@@ -358,6 +378,12 @@ class Broker:
             if left < 0:
                 expired = "keep-alive expired" if session.client_id else "no connect in time"
                 self._close(session, expired)
+            elif timeout is None or left < timeout:
+                timeout = left
+        if self._accept_paused_until is not None:
+            left = self._accept_paused_until - now
+            if left <= 0:
+                self._resume_accept()
             elif timeout is None or left < timeout:
                 timeout = left
         return timeout

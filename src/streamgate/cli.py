@@ -50,6 +50,7 @@ def _flag(rule):
 
 _BIND_PORT = _flag(lambda raw: 0 if raw == "0" else keystore.RULES["mqtt.port"](raw))
 _FRAMES = _flag(keystore.checked(int, lambda v: v >= 0, "a whole number >= 0"))
+_BENCH_FRAMES = _flag(keystore.checked(int, lambda v: v >= 2, "a whole number >= 2"))
 _SECONDS = _flag(keystore.checked(float, lambda v: v >= 0, "a number of seconds >= 0"))
 _TOPIC_FILTER = _flag(partial(keystore.nonempty, validate=mqtt.validate_filter))
 
@@ -131,7 +132,7 @@ def _print_stats(stats: pipeline.ThrottleStats) -> None:
     print(
         f"frames_sent: {stats.frames_sent}\n"
         f"window_duration: {stats.window_duration:.3f}\n"
-        f"measured_fps: {stats.measured_fps:.3f}\n"
+        f"measured_fps: {pipeline.rate_text(stats.measured_fps)}\n"
         f"target_fps: {stats.target_fps:g}"
     )
 
@@ -156,10 +157,9 @@ def cmd_subscribe(args) -> int:
     except KeyboardInterrupt:
         print("subscribe interrupted", file=sys.stderr)
         return EXIT_OK
-    fps = "n/a" if report.measured_fps is None else f"{report.measured_fps:.3f}"
     print(
         f"frames_received: {report.frames_received}\n"
-        f"measured_fps: {fps}\n"
+        f"measured_fps: {pipeline.rate_text(report.measured_fps)}\n"
         f"out_of_order: {report.out_of_order_count}\n"
         f"decode_failures: {report.decode_failure_count}\n"
         f"write_drops: {report.write_drop_count}"
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the benchmark suite")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--frames", type=int, help="frames per fps run (default: 5 seconds worth)"
+        "--frames", type=_BENCH_FRAMES, help="frames per fps run (default: 5 seconds worth)"
     )
     p_bench.add_argument("--report", help="also write the report to this path")
     p_bench.set_defaults(func=cmd_bench)

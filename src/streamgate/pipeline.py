@@ -47,7 +47,9 @@ __all__ = [
     "ThrottleStats",
     "decode_payload",
     "encode_payload",
+    "frame_rate",
     "publish_stream",
+    "rate_text",
 ]
 
 log = logging.getLogger(__name__)
@@ -77,14 +79,30 @@ class Frame:
     captured_at: float
 
 
+def frame_rate(frames: int, span: float) -> Optional[float]:
+    """Frames per second: n frames over ``span`` seconds span n - 1 intervals.
+    None below 2 frames, or with no time between them."""
+    if frames < 2 or not span > 0:
+        return None
+    return (frames - 1) / span
+
+
+def rate_text(rate: Optional[float]) -> str:
+    """A rate as the reports print it: ``n/a`` where there is none."""
+    return "n/a" if rate is None else f"{rate:.3f}"
+
+
 @dataclass(frozen=True)
 class ThrottleStats:
     """Publisher-side pacing outcome for one stream session."""
 
     target_fps: float
-    measured_fps: float
     frames_sent: int
     window_duration: float  # first send to last send
+
+    @property
+    def measured_fps(self) -> Optional[float]:
+        return frame_rate(self.frames_sent, self.window_duration)
 
 
 @dataclass(frozen=True)
@@ -111,6 +129,13 @@ def _with_index(index: int, body: Union[bytes, memoryview]) -> bytes:
     The subscriber reads the index back to check order and name sink files.
     """
     return b"".join((index.to_bytes(INDEX_HEADER_BYTES, "big"), body))
+
+
+def frame_index(data: bytes) -> Optional[int]:
+    """The index :func:`_with_index` wrote; None for data too short to hold one."""
+    if len(data) < INDEX_HEADER_BYTES:
+        return None
+    return int.from_bytes(data[:INDEX_HEADER_BYTES], "big")
 
 
 def synthetic_frame_length(width: int, height: int) -> int:
@@ -289,7 +314,7 @@ def publish_stream(
             try:
                 payload = encode_payload(source.next_frame())
             except Exception as exc:
-                stats = _finish_stats(fps, frames_sent, first_send, last_send)
+                stats = ThrottleStats(fps, frames_sent, last_send - first_send)
                 raise StreamAborted(
                     f"frame source failed after {frames_sent} frames: {exc}", stats
                 ) from exc
@@ -307,31 +332,16 @@ def publish_stream(
         # Treat like a deadline: stop pacing, flush partial stats.
         log.info("stream interrupted after %d frames", frames_sent)
     except ClientError as exc:
-        stats = _finish_stats(fps, frames_sent, first_send, last_send)
+        stats = ThrottleStats(fps, frames_sent, last_send - first_send)
         raise StreamAborted(f"stream aborted after {frames_sent} frames: {exc}", stats) from exc
     finally:
         conn.disconnect()  # checks the CONNACK first: a refusal replaces any abort
 
-    stats = _finish_stats(fps, frames_sent, first_send, last_send)
+    stats = ThrottleStats(fps, frames_sent, last_send - first_send)
     log.info(
-        "stream complete: %d frames at %.2f fps (target %.2f)",
+        "stream complete: %d frames at %s fps (target %.2f)",
         stats.frames_sent,
-        stats.measured_fps,
+        rate_text(stats.measured_fps),
         fps,
     )
     return StreamResult(authorized=True, verdict=verdict, stats=stats)
-
-
-def _finish_stats(
-    fps: float, frames_sent: int, first_send: float, last_send: float
-) -> ThrottleStats:
-    # n sends span n - 1 frame intervals.
-    window = last_send - first_send
-    measured = (frames_sent - 1) / window if window > 0 else 0.0
-    return ThrottleStats(
-        target_fps=fps,
-        measured_fps=measured,
-        frames_sent=frames_sent,
-        window_duration=window,
-    )
-

@@ -43,18 +43,10 @@ class DeliveryReport:
 
     @property
     def measured_fps(self) -> Optional[float]:
-        """Frames per second from first to last arrival: n frames span n - 1
-        intervals. None below 2 frames, or if no time passed between them."""
-        if self.frames_received < 2:
+        """Frames per second from first to last arrival, by :func:`pipeline.frame_rate`."""
+        if self.first_timestamp is None:
             return None
-        span = self.last_timestamp - self.first_timestamp
-        return (self.frames_received - 1) / span if span > 0 else None
-
-
-def _frame_index(data: bytes) -> Optional[int]:
-    if len(data) < pipeline.INDEX_HEADER_BYTES:
-        return None
-    return int.from_bytes(data[: pipeline.INDEX_HEADER_BYTES], "big")
+        return pipeline.frame_rate(self.frames_received, self.last_timestamp - self.first_timestamp)
 
 
 def subscribe_and_collect(
@@ -81,7 +73,6 @@ def subscribe_and_collect(
         sink_dir = Path(sink_dir)
         sink_dir.mkdir(parents=True, exist_ok=True)
     last_index: Optional[int] = None
-    fallback_name = 0
 
     conn = MqttConnection(host, port, client_id, keep_alive_s=0)
     conn.connect()
@@ -111,7 +102,8 @@ def subscribe_and_collect(
                 data = pipeline.decode_payload(packet.payload)
             except (ValueError, UnicodeDecodeError):
                 report.decode_failure_count += 1
-                log.warning("payload %d failed base64 decode, skipping", fallback_name)
+                received = report.frames_received + report.decode_failure_count
+                log.warning("payload %d failed base64 decode, skipping", received - 1)
                 continue
 
             report.frames_received += 1
@@ -120,21 +112,20 @@ def subscribe_and_collect(
             report.last_timestamp = now
             report.content_hashes.append(hashlib.sha256(data).hexdigest())
 
-            index = _frame_index(data)
+            index = pipeline.frame_index(data)
             if index is not None:
                 if last_index is not None and index <= last_index:
                     report.out_of_order_count += 1
                 last_index = index
 
             if sink_dir is not None:
-                name = index if index is not None else fallback_name
+                name = index if index is not None else report.frames_received - 1
                 path = sink_dir / f"frame_{name:06d}.bin"
                 try:
                     path.write_bytes(data)
                 except OSError as exc:
                     report.write_drop_count += 1
                     log.warning("sink write failed for %s: %s", path, exc)
-            fallback_name += 1
     except KeyboardInterrupt:
         log.info("collection interrupted after %d frames", report.frames_received)
     finally:

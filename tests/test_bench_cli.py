@@ -1,5 +1,6 @@
 """Benchmark harness and command-line entry points."""
 
+import logging
 import random
 import threading
 import time
@@ -118,6 +119,26 @@ def test_bench_report_text_format():
     # Line-oriented key: value, no blank lines
     for line in text.strip().splitlines():
         assert ": " in line
+
+
+def test_bench_report_prints_missing_rates_as_n_a():
+    run = bench.FpsRun(
+        target_fps=14.0,
+        frames_requested=2,
+        frames_sent=1,
+        frames_received=1,
+        publisher_fps=None,
+        subscriber_fps=None,
+        hashes_match=True,
+        indices_increasing=True,
+        within_tolerance=False,
+    )
+    report = bench.BenchReport(
+        seed=0, suite_counts={}, successes=0, failures=0, latency=[], fps_runs=[run]
+    )
+    text = report.to_text()
+    assert "fps.target_14.publisher_fps: n/a\n" in text
+    assert "fps.target_14.subscriber_fps: n/a\n" in text
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -376,6 +397,27 @@ def test_cmd_stream_and_subscribe_loopback(workdir, capsys):
     assert "frames_sent: 8" in capsys.readouterr().out
 
 
+def test_cmd_stream_one_frame_reports_no_rate(workdir, capsys, caplog):
+    # It printed 0.000, where subscribe prints n/a for the same case.
+    caplog.set_level(logging.INFO, logger="streamgate.pipeline")
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "1",
+            ]
+        )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "frames_sent: 1\n" in out
+    assert "measured_fps: n/a\n" in out
+    assert "stream complete: 1 frames at n/a fps" in caplog.text
+
+
 def test_cmd_subscribe_empty_topic(workdir, capsys):
     with Broker("127.0.0.1", 0) as broker:
         code = cli.main(
@@ -402,3 +444,16 @@ def test_cmd_bench_writes_report(workdir, capsys):
     assert "auth_suite.failures: 22" in text
     assert "latency.pipelined.cycles: 34" in text
     assert capsys.readouterr().out.startswith("seed: 4")
+
+
+@pytest.mark.parametrize("frames", ["0", "-1", "1"])
+def test_cmd_bench_needs_two_frames_per_run(capsys, frames):
+    # 0 and -1 ran for about 15 s and exited 0; 1 frame has no rate to check.
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bench", "--frames", frames])
+    assert time.monotonic() - start < 2.0
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "argument --frames: must be a whole number >= 2" in err
+    assert "Traceback" not in err

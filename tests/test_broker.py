@@ -703,6 +703,111 @@ def test_publishers_coming_and_going_do_not_fault_the_broker_heap():
     assert per_frame <= 1, f"{per_frame:.1f} minor faults per frame"
 
 
+_FD_STARVED_BROKER_CHILD = """
+import resource, sys, time
+from streamgate.broker import serve
+resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+b = serve('127.0.0.1', 0)
+print(b.port, flush=True)
+for _ in sys.stdin:  # each line asks for the CPU time spent so far
+    print(time.process_time(), flush=True)
+b.stop()
+"""
+
+
+def test_broker_out_of_descriptors_sleeps_until_a_session_closes():
+    # A connection the broker cannot accept stays pending, so the listener
+    # stays readable: a broker that kept watching it spent 2 s of CPU in 2 s.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_NOFILE"):
+        pytest.skip("needs RLIMIT_NOFILE")
+    src = os.path.dirname(os.path.dirname(streamgate.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-c", _FD_STARVED_BROKER_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as child:
+        idle = []
+        try:
+            port = int(child.stdout.readline())
+
+            def cpu_s():
+                child.stdin.write("\n")
+                child.stdin.flush()
+                return float(child.stdout.readline())
+
+            # About 25 fit in the child's 32 descriptors; the rest stay pending.
+            idle = [socket.create_connection(("127.0.0.1", port)) for _ in range(40)]
+            time.sleep(0.3)
+            before = cpu_s()
+            time.sleep(2.0)
+            spent = cpu_s() - before
+            for sock in idle:
+                sock.close()
+            late = MqttConnection("127.0.0.1", port, "after-the-flood")
+            late.connect()
+            assert late.subscribe("alive") == 0
+            late.disconnect()
+        finally:
+            for sock in idle:
+                sock.close()
+            child.stdin.close()  # end of input stops the broker
+            child.wait(timeout=10)
+    assert spent < 0.2, f"{spent:.2f} s of broker CPU in 2 s"
+
+
+_FD_FILLED_BROKER_CHILD = """
+import os, resource, sys
+from streamgate.broker import serve
+resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+b = serve('127.0.0.1', 0)
+filler = []
+try:
+    while True:
+        filler.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    pass
+print(b.port, flush=True)
+sys.stdin.readline()  # then free the descriptors that no session holds
+for fd in filler:
+    os.close(fd)
+sys.stdin.read()
+b.stop()
+"""
+
+
+def test_broker_out_of_descriptors_with_no_session_accepts_once_they_are_free():
+    # No session will close to resume accepting, so the broker retries on a timer.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_NOFILE"):
+        pytest.skip("needs RLIMIT_NOFILE")
+    src = os.path.dirname(os.path.dirname(streamgate.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-c", _FD_FILLED_BROKER_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as child:
+        try:
+            port = int(child.stdout.readline())
+            client = MqttConnection("127.0.0.1", port, "waits-for-a-descriptor")
+            client.connect()  # pending: the broker has no descriptor to accept it with
+            time.sleep(0.3)
+            child.stdin.write("\n")
+            child.stdin.flush()
+            start = time.monotonic()
+            assert client.subscribe("alive") == 0
+            waited = time.monotonic() - start
+            client.disconnect()
+        finally:
+            child.stdin.close()  # end of input stops the broker
+            child.wait(timeout=10)
+    assert waited < broker_module.ACCEPT_RETRY_S + 1.0
+
+
 # -- hostile and silent peers ----------------------------------------------------------
 
 

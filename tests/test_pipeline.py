@@ -50,6 +50,12 @@ def test_first_eight_bytes_encode_index():
     assert frame.bytes[:8] == (1).to_bytes(8, "big")
 
 
+def test_frame_index_reads_the_header_both_sources_write():
+    assert pipeline.frame_index(SyntheticFrameSource(64, 64).frame_at(7).bytes) == 7
+    assert pipeline.frame_index(pipeline._with_index(2**40, b"body")) == 2**40
+    assert pipeline.frame_index(b"tiny") is None
+
+
 def test_synthetic_frames_deterministic():
     a = SyntheticFrameSource(320, 240).frame_at(7)
     b = SyntheticFrameSource(320, 240).frame_at(7)
@@ -376,6 +382,23 @@ def test_measured_rate_counts_intervals_not_frames():
         )
     assert result.stats.frames_sent == 3
     assert result.stats.measured_fps == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize("frames, span", [(0, 0.0), (1, 0.0), (1, 2.0), (2, 0.0), (5, -1.0)])
+def test_frame_rate_none_below_two_frames_or_no_elapsed_time(frames, span):
+    assert pipeline.frame_rate(frames, span) is None
+
+
+def test_one_frame_stream_has_no_rate():
+    # It read 0.0, where the subscriber's report reads None.
+    assert pipeline.ThrottleStats(14.0, 1, 0.0).measured_fps is None
+    assert pipeline.ThrottleStats(14.0, 0, 0.0).measured_fps is None
+    assert pipeline.ThrottleStats(14.0, 3, 1.0).measured_fps == pytest.approx(2.0)
+
+
+def test_rate_text_prints_n_a_where_there_is_no_rate():
+    assert pipeline.rate_text(None) == "n/a"
+    assert pipeline.rate_text(14.0) == "14.000"
 
 
 def test_duration_bound_stops_stream():

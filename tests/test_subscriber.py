@@ -1,5 +1,6 @@
 """Delivery collection, fault isolation, and disk sink behavior."""
 
+import base64
 import hashlib
 import logging
 import socket
@@ -85,6 +86,48 @@ def test_bad_payload_counted_not_fatal():
     report = box["report"]
     assert report.frames_received == 2
     assert report.decode_failure_count == 1
+
+
+def test_consecutive_bad_payloads_log_distinct_numbers(tmp_path, caplog):
+    # Numbered by decoded frames, all three logged "payload 0".
+    caplog.set_level(logging.WARNING, logger="streamgate.subscriber")
+    frame = SyntheticFrameSource(64, 64, frame_bytes=64).frame_at(0)
+    sink = tmp_path / "frames"
+    with Broker("127.0.0.1", 0) as broker:
+        box = {}
+        thread = collect_in_thread(broker, box, max_frames=1, duration_s=8.0, sink_dir=sink)
+        pub = MqttConnection("127.0.0.1", broker.port, "feeder")
+        pub.connect()
+        for junk in (b"!not base64!", b"abc", b"@@@@"):
+            pub.publish(TOPIC, junk)
+        pub.publish(TOPIC, encode_payload(frame))
+        pub.disconnect()
+        thread.join(timeout=8.0)
+    report = box["report"]
+    assert report.decode_failure_count == 3
+    assert report.frames_received == 1
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"payload {i} failed base64 decode, skipping" for i in range(3)]
+    assert [p.name for p in sink.iterdir()] == ["frame_000000.bin"]
+    assert (sink / "frame_000000.bin").read_bytes() == frame.bytes
+
+
+def test_frames_without_an_index_are_named_by_decoded_count(tmp_path):
+    sink = tmp_path / "frames"
+    with Broker("127.0.0.1", 0) as broker:
+        box = {}
+        thread = collect_in_thread(broker, box, max_frames=2, duration_s=8.0, sink_dir=sink)
+        pub = MqttConnection("127.0.0.1", broker.port, "feeder")
+        pub.connect()
+        pub.publish(TOPIC, b"!not base64!")  # counted apart, takes no name
+        pub.publish(TOPIC, base64.b64encode(b"tiny"))
+        pub.publish(TOPIC, base64.b64encode(b"four"))
+        pub.disconnect()
+        thread.join(timeout=8.0)
+    assert box["report"].frames_received == 2
+    assert sorted(p.name for p in sink.iterdir()) == ["frame_000000.bin", "frame_000001.bin"]
+    assert (sink / "frame_000000.bin").read_bytes() == b"tiny"
+    assert (sink / "frame_000001.bin").read_bytes() == b"four"
 
 
 def test_empty_topic_times_out_cleanly():
