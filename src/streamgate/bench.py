@@ -106,6 +106,8 @@ class LatencyResult:
 
 def measure_latency(mode: str, samples: int = 1000, seed: int = 0) -> LatencyResult:
     """START-to-DONE cycle count across random candidates in one mode."""
+    if mode not in ("pipelined", "unpipelined"):
+        raise ValueError(f"mode must be 'pipelined' or 'unpipelined', got {mode!r}")
     rng = random.Random(seed)
     model = LatencyModel.pipelined() if mode == "pipelined" else LatencyModel.unpipelined()
     enclave = AuthEnclave(generate_secret(rng), model)

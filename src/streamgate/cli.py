@@ -6,10 +6,20 @@
     streamgate broker    --host 127.0.0.1 --port 1883
     streamgate bench     --seed 0 --report bench.txt
 
-Exit codes: 0 success / authorized, 1 authorization refused, 2 bad
-input (config, credentials, provisioning, unreachable files, option
-values out of range). Long running commands shut down cleanly on
-Ctrl-C and flush their stats.
+Exit codes, all decided in :func:`main`:
+
+    0    success; ``auth``: the key is authorized
+    1    the key is refused; nothing was published
+    2    bad input: an option value out of range; a config, credentials
+         or provisioning file that is missing, unreadable, a directory,
+         not UTF-8 or breaks its rule; a ``camera.source`` that is not a
+         directory or holds no files; a ``subscribe --sink`` that is a
+         file; a ``broker --port`` already bound; a broker that cannot
+         be reached or refuses the session; a stream aborted midway
+    130  interrupted (Ctrl-C) before the command could finish
+
+A Ctrl-C in the middle of ``stream``, ``subscribe`` or ``broker`` ends
+it cleanly: it prints its stats and exits 0.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+
+# What main reports as one ``error:`` line and exit 2.
+_BAD_INPUT = (ConfigError, CredentialsError, ProvisioningError, pipeline.SourceError,
+              ClientError, OSError, UnicodeDecodeError)
 
 
 def _flag(rule):
@@ -106,20 +121,9 @@ def cmd_stream(args) -> int:
     duration = args.duration
     if frames is None and duration is None:
         duration = 5.0
-    try:
-        result = pipeline.publish_stream(
-            config, enclave, candidate, max_frames=frames, duration_s=duration
-        )
-    except KeyboardInterrupt:
-        print("stream interrupted", file=sys.stderr)
-        return EXIT_OK
-    except pipeline.StreamAborted as exc:
-        print(f"stream aborted: {exc}", file=sys.stderr)
-        _print_stats(exc.stats)
-        return EXIT_BAD_INPUT
-    except ClientError as exc:
-        print(f"broker connection failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    result = pipeline.publish_stream(
+        config, enclave, candidate, max_frames=frames, duration_s=duration
+    )
     if not result.authorized:
         print("refused: candidate key rejected, nothing published", file=sys.stderr)
         return EXIT_REFUSED
@@ -142,21 +146,14 @@ def cmd_subscribe(args) -> int:
     duration = args.duration
     if frames is None and duration is None:
         duration = 5.0
-    try:
-        report = subscriber.subscribe_and_collect(
-            args.host,
-            args.port,
-            args.topic,
-            max_frames=frames,
-            duration_s=duration,
-            sink_dir=args.sink,
-        )
-    except ClientError as exc:
-        print(f"broker connection failed: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except KeyboardInterrupt:
-        print("subscribe interrupted", file=sys.stderr)
-        return EXIT_OK
+    report = subscriber.subscribe_and_collect(
+        args.host,
+        args.port,
+        args.topic,
+        max_frames=frames,
+        duration_s=duration,
+        sink_dir=args.sink,
+    )
     print(
         f"frames_received: {report.frames_received}\n"
         f"measured_fps: {pipeline.rate_text(report.measured_fps)}\n"
@@ -168,8 +165,7 @@ def cmd_subscribe(args) -> int:
 
 
 def cmd_broker(args) -> int:
-    handle = broker_mod.serve(args.host, args.port)
-    print(f"broker listening on {args.host}:{handle.port}", file=sys.stderr)
+    handle = broker_mod.serve(args.host, args.port)  # logs "broker listening on ..."
     try:
         while True:
             time.sleep(0.5)
@@ -267,12 +263,15 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, CredentialsError, ProvisioningError) as exc:
+    except pipeline.StreamAborted as exc:
+        print(f"stream aborted: {exc}", file=sys.stderr)
+        _print_stats(exc.stats)
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except KeyboardInterrupt:  # one the command did not handle itself
+        print(f"{args.command} interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -270,13 +270,15 @@ def publish_stream(
     """Authenticate, then publish frames until the bound is reached.
 
     Exactly one of the bounds must be given (both is allowed: whichever
-    trips first ends the stream). On a refused key the result carries
-    ``stats=None`` and no connection attempt is made. A broker that
-    is unreachable or refuses the session raises :class:`ClientError`,
-    also when the refusal is read after frames were sent; a connection
-    lost mid-stream or a failing frame source raises
-    :class:`StreamAborted` with partial stats. Frames are acquired,
-    encoded, paced and sent one at a time on the caller's thread.
+    trips first ends the stream). A ``camera.source`` that cannot be
+    opened raises :class:`SourceError` before the enclave runs. On a
+    refused key the result carries ``stats=None`` and no connection
+    attempt is made. A broker that is unreachable or refuses the session
+    raises :class:`ClientError`, also when the refusal is read after
+    frames were sent; a connection lost mid-stream or a failing frame
+    source raises :class:`StreamAborted` with partial stats. Frames are
+    acquired, encoded, paced and sent one at a time on the caller's
+    thread.
     """
     if max_frames is None and duration_s is None:
         raise ValueError("need a frame-count or duration bound")
@@ -286,6 +288,8 @@ def publish_stream(
         raise ValueError(f"camera_fps must be positive, got {config.camera_fps}")
     mqtt.validate_publish_topic(config.mqtt_topic)  # a FilterError is a ValueError
     mqtt.validate_client_id(config.mqtt_client_id)
+    if source is None:
+        source = source_from_config(config)
 
     verdict = driver.authenticate(enclave, candidate)
     if not verdict.authorized:
@@ -293,8 +297,6 @@ def publish_stream(
         return StreamResult(authorized=False, verdict=verdict, stats=None)
     log.info("authentication verdict: authorized (%d cycles)", verdict.cycles)
 
-    if source is None:
-        source = source_from_config(config)
     fps = config.camera_fps
 
     conn = MqttConnection(

@@ -2,13 +2,15 @@
 
 import logging
 import random
+import socket
 import threading
 import time
 
 import pytest
 
-from streamgate import bench, cli
+from streamgate import bench, cli, pipeline
 from streamgate.broker import Broker
+from streamgate.client import MqttConnection
 from streamgate.driver import run_attempt_suite
 from streamgate.enclave import AuthEnclave
 from streamgate.subscriber import subscribe_and_collect
@@ -78,6 +80,13 @@ def test_latency_unpipelined():
     assert result.cycles == 64
     assert result.elapsed_ns == 640
     assert result.cycle_variance == 0.0
+
+
+@pytest.mark.parametrize("mode", ["Pipelined", "fast"])
+def test_latency_rejects_unknown_mode(mode):
+    # Anything but "pipelined" would otherwise measure the 64-cycle core.
+    with pytest.raises(ValueError, match="mode"):
+        bench.measure_latency(mode, samples=10)
 
 
 # -- loopback and report ---------------------------------------------------------
@@ -431,6 +440,163 @@ def test_cmd_subscribe_empty_topic(workdir, capsys):
         )
     assert code == 0
     assert "frames_received: 0" in capsys.readouterr().out
+
+
+# -- failures main maps to exit codes ---------------------------------------------------
+#
+# Bad input exits 2 with one line, never 1 with a traceback: a script reads
+# exit 1 as a refused key.
+
+
+def assert_one_error_line(code, err):
+    assert code == cli.EXIT_BAD_INPUT
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
+
+
+def _a_directory(workdir):
+    path = workdir / "a-directory"
+    path.mkdir()
+    return path
+
+
+def _not_utf8(workdir):
+    path = workdir / "not-utf8.hex"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, make",
+    [("--provision", _a_directory), ("--config", _a_directory), ("--provision", _not_utf8)],
+    ids=["provision-is-a-directory", "config-is-a-directory", "provision-not-utf8"],
+)
+def test_cmd_auth_unreadable_file_is_bad_input(workdir, capsys, flag, make):
+    files = {"--config": workdir / "gateway.cfg", "--provision": workdir / "secret.hex"}
+    files[flag] = make(workdir)
+    argv = ["auth"]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    assert_one_error_line(cli.main(argv), capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("source", ["absent", "empty"])
+def test_cmd_stream_unusable_camera_source_is_bad_input(workdir, capsys, source):
+    (workdir / "empty").mkdir()
+    config = workdir / "source.cfg"
+    config.write_text(
+        (workdir / "gateway.cfg").read_text() + f"camera.source = {workdir / source}\n"
+    )
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(config),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "1",
+            ]
+        )
+        assert broker.stats.connections_accepted == 0
+    assert_one_error_line(code, capsys.readouterr().err)
+
+
+def test_cmd_subscribe_sink_that_is_a_file_is_bad_input(workdir, capsys):
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "subscribe",
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "1",
+                "--sink", str(workdir / "creds.txt"),
+            ]
+        )
+        assert broker.stats.connections_accepted == 0
+    assert_one_error_line(code, capsys.readouterr().err)
+
+
+def test_cmd_broker_port_in_use_is_bad_input(capsys):
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        code = cli.main(["broker", "--host", "127.0.0.1", "--port", str(holder.getsockname()[1])])
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert "cannot bind broker" in err
+
+
+def test_cmd_stream_unreachable_broker_is_bad_input(workdir, capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]  # nothing listens there once it closes
+    code = cli.main(
+        [
+            "stream",
+            "--config", str(workdir / "gateway.cfg"),
+            "--provision", str(workdir / "secret.hex"),
+            "--host", "127.0.0.1",
+            "--port", str(port),
+            "--frames", "1",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert f"error: cannot reach broker at 127.0.0.1:{port}" in err
+
+
+def test_cmd_auth_interrupt_exits_130(workdir, capsys, monkeypatch):
+    # An interrupt must never read as authorized (0) or refused (1).
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.driver, "authenticate", interrupted)
+    argv = ["auth", "--config", str(workdir / "gateway.cfg")]
+    try:
+        code = cli.main(argv + ["--provision", str(workdir / "secret.hex")])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr().err == "auth interrupted\n"
+
+
+def test_cmd_stream_interrupted_midway_exits_0_with_stats(workdir, capsys, monkeypatch):
+    class InterruptedSource(pipeline.SyntheticFrameSource):
+        def next_frame(self):
+            if self._index == 4:
+                raise KeyboardInterrupt
+            return super().next_frame()
+
+    monkeypatch.setattr(
+        pipeline, "source_from_config", lambda config: InterruptedSource(64, 64, frame_bytes=64)
+    )
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "10",
+            ]
+        )
+    assert code == cli.EXIT_OK
+    assert "frames_sent: 4\n" in capsys.readouterr().out
+
+
+def test_cmd_subscribe_interrupted_midway_exits_0_with_report(capsys, monkeypatch):
+    def interrupted(self, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(MqttConnection, "recv_packet", interrupted)
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            ["subscribe", "--host", "127.0.0.1", "--port", str(broker.port), "--frames", "3"]
+        )
+    assert code == cli.EXIT_OK
+    assert "frames_received: 0\n" in capsys.readouterr().out
 
 
 def test_cmd_bench_writes_report(workdir, capsys):

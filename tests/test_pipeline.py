@@ -336,6 +336,25 @@ def test_bad_client_id_refused_before_authenticating(client_id):
     assert enclave.cycle_counter == 0  # the enclave never ran
 
 
+def test_bad_camera_source_refused_before_authenticating(monkeypatch, tmp_path):
+    # An authorized key must never be spent on a stream that cannot start.
+    calls = []
+    authenticate = pipeline.driver.authenticate
+
+    def spy(*args):
+        calls.append(args)
+        return authenticate(*args)
+
+    monkeypatch.setattr(pipeline.driver, "authenticate", spy)
+    with Broker("127.0.0.1", 0) as broker:
+        config = small_config(broker)
+        config.camera_source = str(tmp_path / "absent")
+        with pytest.raises(SourceError, match="not a directory"):
+            publish_stream(config, AuthEnclave(SECRET), SECRET, max_frames=3)
+        assert broker.stats.connections_accepted == 0
+    assert calls == []
+
+
 def test_unreachable_broker_raises_client_error():
     # Bind a port and close it so nothing is listening there.
     import socket as socket_mod
