@@ -32,7 +32,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import driver, pipeline, subscriber
 from .broker import Broker
@@ -53,7 +53,10 @@ __all__ = [
 ]
 
 TABLE_SUITE_COUNTS = dict(zip(driver.SUITE_LABELS, (10, 5, 7, 4, 6)))
+# The runs' sizes, read at each call so that a test can shrink them.
 FPS_TARGETS = (6.0, 14.0, 30.0)
+WIDTH, HEIGHT = 1920, 1080  # the frame size of every loopback run
+LATENCY_SAMPLES = 1000  # verdicts per latency mode
 FPS_TOLERANCE = 0.10
 LOOPBACK_SECONDS = 5.0
 
@@ -104,7 +107,7 @@ class LatencyResult:
     cycle_variance: float
 
 
-def measure_latency(mode: str, samples: int = 1000, seed: int = 0) -> LatencyResult:
+def measure_latency(mode: str, seed: int = 0) -> LatencyResult:
     """START-to-DONE cycle count across random candidates in one mode."""
     if mode not in ("pipelined", "unpipelined"):
         raise ValueError(f"mode must be 'pipelined' or 'unpipelined', got {mode!r}")
@@ -112,7 +115,7 @@ def measure_latency(mode: str, samples: int = 1000, seed: int = 0) -> LatencyRes
     model = LatencyModel.pipelined() if mode == "pipelined" else LatencyModel.unpipelined()
     enclave = AuthEnclave(generate_secret(rng), model)
     observed = []
-    for _ in range(samples):
+    for _ in range(LATENCY_SAMPLES):
         verdict = driver.authenticate(enclave, rng.randbytes(KEY_BYTES))
         observed.append(verdict.cycles)
     mean = sum(observed) / len(observed)
@@ -120,8 +123,8 @@ def measure_latency(mode: str, samples: int = 1000, seed: int = 0) -> LatencyRes
     return LatencyResult(
         mode=mode,
         cycles=observed[0],
-        elapsed_ns=observed[0] * model.clock_period_ns,
-        samples=samples,
+        elapsed_ns=observed[0] * model.CLOCK_PERIOD_NS,
+        samples=LATENCY_SAMPLES,
         cycle_variance=variance,
     )
 
@@ -139,15 +142,7 @@ class FpsRun:
     within_tolerance: bool
 
 
-def run_loopback(
-    target_fps: float,
-    frames: int,
-    *,
-    width: int = 1920,
-    height: int = 1080,
-    frame_bytes: Optional[int] = None,
-    seed: int = 0,
-) -> FpsRun:
+def run_loopback(target_fps: float, frames: int, *, seed: int = 0) -> FpsRun:
     """One publisher/broker/subscriber loop on localhost.
 
     The subscriber is confirmed subscribed (its filter is visible in
@@ -157,12 +152,12 @@ def run_loopback(
     rng = random.Random(seed)
     secret = generate_secret(rng)
     enclave = AuthEnclave(secret, LatencyModel.pipelined())
-    source = pipeline.SyntheticFrameSource(width, height, frame_bytes)
+    source = pipeline.SyntheticFrameSource(WIDTH, HEIGHT)
 
     with Broker("127.0.0.1", 0) as broker:
         config = GatewayConfig(
-            camera_width=width,
-            camera_height=height,
+            camera_width=WIDTH,
+            camera_height=HEIGHT,
             camera_fps=target_fps,
             mqtt_host="127.0.0.1",
             mqtt_port=broker.port,
@@ -254,20 +249,13 @@ class BenchReport:
             lines.append(f"{prefix}.subscriber_fps: {pipeline.rate_text(run.subscriber_fps)}")
             lines.append(f"{prefix}.hashes_match: {str(run.hashes_match).lower()}")
             lines.append(f"{prefix}.within_tolerance: {str(run.within_tolerance).lower()}")
+            lines.append(f"{prefix}.indices_increasing: {str(run.indices_increasing).lower()}")
         for i, note in enumerate(self.notes):
             lines.append(f"note.{i}: {note}")
         return "\n".join(lines) + "\n"
 
 
-def run_bench(
-    seed: int = 0,
-    *,
-    fps_targets: Sequence[float] = FPS_TARGETS,
-    frames_per_target: Optional[int] = None,
-    frame_bytes: Optional[int] = None,
-    width: int = 1920,
-    height: int = 1080,
-) -> BenchReport:
+def run_bench(seed: int = 0, *, frames_per_target: Optional[int] = None) -> BenchReport:
     """Run all three sub-benchmarks and assemble the report.
 
     ``frames_per_target=None`` sizes each fps run to about five seconds
@@ -290,23 +278,14 @@ def run_bench(
         "low-cost board 6-7 fps, gpu board 30 fps; absolute rates need "
         "the hardware, these runs check pacing accuracy only",
     ]
-    for target in fps_targets:
+    for target in FPS_TARGETS:
         frames = (
             frames_per_target
             if frames_per_target is not None
             else max(2, round(LOOPBACK_SECONDS * target))
         )
         try:
-            fps_runs.append(
-                run_loopback(
-                    target,
-                    frames,
-                    width=width,
-                    height=height,
-                    frame_bytes=frame_bytes,
-                    seed=seed,
-                )
-            )
+            fps_runs.append(run_loopback(target, frames, seed=seed))
         except Exception as exc:  # failed sub-benchmark: flag, keep going
             notes.append(f"fps run at {target:g} failed: {exc}")
 

@@ -14,9 +14,14 @@ Exit codes, all decided in :func:`main`:
          or provisioning file that is missing, unreadable, a directory,
          not UTF-8 or breaks its rule; a ``camera.source`` that is not a
          directory or holds no files; a ``subscribe --sink`` that is a
-         file; a ``broker --port`` already bound; a broker that cannot
-         be reached or refuses the session; a stream aborted midway
+         file; a ``bench --report`` that cannot be written; a ``broker
+         --port`` already bound; a broker that cannot be reached or
+         refuses the session; a stream aborted midway
     130  interrupted (Ctrl-C) before the command could finish
+
+Each override flag of ``auth`` and ``stream`` sets one config key (the
+table ``_OVERRIDES``) and takes that key's rule, so ``--credentials ''``
+is bad input, as an empty ``credentials.path`` is.
 
 A Ctrl-C in the middle of ``stream``, ``subscribe`` or ``broker`` ends
 it cleanly: it prints its stats and exits 0.
@@ -25,12 +30,12 @@ it cleanly: it prints its stats and exits 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from . import bench as bench_mod
 from . import broker as broker_mod
@@ -48,7 +53,19 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 # What main reports as one ``error:`` line and exit 2.
 _BAD_INPUT = (ConfigError, CredentialsError, ProvisioningError, pipeline.SourceError,
-              ClientError, OSError, UnicodeDecodeError)
+              ClientError, OSError)
+
+# Override flag -> the config key it sets. A value flag takes its key's
+# rule; --pipelined and --no-pipelined set their key to true and false.
+_OVERRIDES = {
+    "--credentials": "credentials.path",
+    "--pipelined": "enclave.pipelined",
+    "--no-pipelined": "enclave.pipelined",
+    "--host": "mqtt.host",
+    "--port": "mqtt.port",
+    "--topic": "mqtt.topic",
+    "--fps": "camera.fps",
+}
 
 
 def _flag(rule):
@@ -63,6 +80,7 @@ def _flag(rule):
     return convert
 
 
+_HOST = _flag(keystore.RULES["mqtt.host"])
 _BIND_PORT = _flag(lambda raw: 0 if raw == "0" else keystore.RULES["mqtt.port"](raw))
 _FRAMES = _flag(keystore.checked(int, lambda v: v >= 0, "a whole number >= 0"))
 _BENCH_FRAMES = _flag(keystore.checked(int, lambda v: v >= 2, "a whole number >= 2"))
@@ -70,40 +88,40 @@ _SECONDS = _flag(keystore.checked(float, lambda v: v >= 0, "a number of seconds 
 _TOPIC_FILTER = _flag(partial(keystore.nonempty, validate=mqtt.validate_filter))
 
 
-def _load_config(path: Optional[str]) -> GatewayConfig:
-    if path is None:
-        return GatewayConfig()
-    return keystore.parse_config(Path(path).read_text())
+def _read(path: str, error) -> str:
+    """The text of a file; text that is not UTF-8 raises ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
 
 
-def _load_enclave(args, config: GatewayConfig) -> AuthEnclave:
-    image = keystore.parse_provisioning(Path(args.provision).read_text())
-    pipelined = config.enclave_pipelined if args.pipelined is None else args.pipelined
-    model = LatencyModel.pipelined() if pipelined else LatencyModel.unpipelined()
-    return AuthEnclave(image, model)
-
-
-def _load_candidate(args, config: GatewayConfig) -> bytes:
-    path = args.credentials if args.credentials else config.credentials_path
-    return keystore.parse_credentials(Path(path).read_text())
-
-
-def _apply_overrides(args, config: GatewayConfig) -> GatewayConfig:
-    if args.host is not None:
-        config.mqtt_host = args.host
-    if args.port is not None:
-        config.mqtt_port = args.port
-    if args.topic is not None:
-        config.mqtt_topic = args.topic
-    if args.fps is not None:
-        config.camera_fps = args.fps
+def _load_config(args) -> GatewayConfig:
+    """The config file, or the defaults, with the override flags given applied."""
+    config = GatewayConfig()
+    if args.config is not None:
+        config = keystore.parse_config(_read(args.config, ConfigError))
+    for key in _OVERRIDES.values():
+        value = getattr(args, key, None)  # None: not given, or not a flag of this command
+        if value is not None:
+            config.set(key, value)
     return config
 
 
+def _load_enclave(config: GatewayConfig, provision: str) -> AuthEnclave:
+    image = keystore.parse_provisioning(_read(provision, CredentialsError))
+    model = LatencyModel.pipelined() if config.enclave_pipelined else LatencyModel.unpipelined()
+    return AuthEnclave(image, model)
+
+
+def _load_candidate(config: GatewayConfig) -> bytes:
+    return keystore.parse_credentials(_read(config.credentials_path, CredentialsError))
+
+
 def cmd_auth(args) -> int:
-    config = _load_config(args.config)
-    enclave = _load_enclave(args, config)
-    candidate = _load_candidate(args, config)
+    config = _load_config(args)
+    enclave = _load_enclave(config, args.provision)
+    candidate = _load_candidate(config)
     verdict = driver.authenticate(enclave, candidate)
     status = "authorized" if verdict.authorized else "refused"
     print(
@@ -114,9 +132,9 @@ def cmd_auth(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    config = _apply_overrides(args, _load_config(args.config))
-    enclave = _load_enclave(args, config)
-    candidate = _load_candidate(args, config)
+    config = _load_config(args)
+    enclave = _load_enclave(config, args.provision)
+    candidate = _load_candidate(config)
     frames = args.frames
     duration = args.duration
     if frames is None and duration is None:
@@ -179,13 +197,12 @@ def cmd_broker(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = bench_mod.run_bench(
-        seed=args.seed,
-        frames_per_target=args.frames,
-    )
-    text = report.to_text()
+    # Opened first, so a report path that cannot be written fails before the runs.
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as out:
+        text = bench_mod.run_bench(seed=args.seed, frames_per_target=args.frames).to_text()
+        if out is not None:
+            out.write(text)
     if args.report:
-        Path(args.report).write_text(text)
         print(f"report written to {args.report}", file=sys.stderr)
     print(text, end="")
     return EXIT_OK
@@ -199,36 +216,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, provision: bool):
+    def add_common(p, *overrides):
         p.add_argument("--config", help="gateway config file")
-        p.add_argument("--credentials", help="credentials file (default: from config)")
-        if provision:
-            p.add_argument(
-                "--provision", required=True, help="provisioning image file (64 hex digits)"
-            )
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--pipelined", dest="pipelined", action="store_true", default=None
-        )
-        group.add_argument("--no-pipelined", dest="pipelined", action="store_false")
+        p.add_argument("--provision", required=True, help="provisioning image file (64 hex digits)")
+        switches = p.add_mutually_exclusive_group()
+        for flag in ("--credentials", "--pipelined", "--no-pipelined", *overrides):
+            key = _OVERRIDES[flag]  # the dest, so _load_config finds the value by key
+            if key == "enclave.pipelined":
+                const = flag == "--pipelined"
+                switches.add_argument(flag, dest=key, action="store_const", const=const)
+            else:
+                p.add_argument(flag, dest=key, type=_flag(keystore.RULES[key]))
 
     p_auth = sub.add_parser("auth", help="run one authentication and print the verdict")
-    add_common(p_auth, provision=True)
+    add_common(p_auth)
     p_auth.set_defaults(func=cmd_auth)
 
     p_stream = sub.add_parser("stream", help="publish an authenticated frame stream")
-    add_common(p_stream, provision=True)
-    p_stream.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]))
-    p_stream.add_argument("--port", type=_flag(keystore.RULES["mqtt.port"]))
-    p_stream.add_argument("--topic", type=_flag(keystore.RULES["mqtt.topic"]))
-    p_stream.add_argument("--fps", type=_flag(keystore.RULES["camera.fps"]))
+    add_common(p_stream, "--host", "--port", "--topic", "--fps")
     p_stream.add_argument("--frames", type=_FRAMES)
     p_stream.add_argument("--duration", type=_SECONDS)
     p_stream.set_defaults(func=cmd_stream)
 
     p_sub = sub.add_parser("subscribe", help="collect frames from a topic")
     config = GatewayConfig()  # the broker and topic that stream publishes to by default
-    p_sub.add_argument("--host", type=_flag(keystore.RULES["mqtt.host"]), default=config.mqtt_host)
+    p_sub.add_argument("--host", type=_HOST, default=config.mqtt_host)
     p_sub.add_argument("--port", type=_flag(keystore.RULES["mqtt.port"]), default=config.mqtt_port)
     p_sub.add_argument("--topic", type=_TOPIC_FILTER, default=config.mqtt_topic)
     p_sub.add_argument("--frames", type=_FRAMES)
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.set_defaults(func=cmd_subscribe)
 
     p_broker = sub.add_parser("broker", help="run the embedded broker")
-    p_broker.add_argument("--host", default="127.0.0.1")
+    p_broker.add_argument("--host", type=_HOST, default="127.0.0.1")
     p_broker.add_argument(
         "--port", type=_BIND_PORT, default=broker_mod.DEFAULT_PORT, help="0 binds any free port"
     )

@@ -14,8 +14,8 @@ A refusal raises :class:`ClientError` there.
 The calls block through the socket's own timeout. Each read waits
 for what is left of its call's deadline, so the ``timeout`` of
 :meth:`MqttConnection.recv_packet` bounds the whole call, however the
-packet trickles in. A send gives up after waiting ``connect_timeout``
-for room in the socket. An :class:`mqtt.PacketReader` reads and frames
+packet trickles in. A send gives up after waiting :data:`WAIT_S` for
+room in the socket. An :class:`mqtt.PacketReader` reads and frames
 packets, as in the broker, under the same 8 MiB cap: a packet that
 declares more ends the connection before it is buffered.
 """
@@ -31,9 +31,13 @@ from typing import Optional
 
 from . import mqtt
 
-__all__ = ["ClientError", "MqttConnection"]
+__all__ = ["ClientError", "MqttConnection", "WAIT_S"]
 
 log = logging.getLogger(__name__)
+
+# How long a call waits on the broker: to connect, for a CONNACK or
+# SUBACK, and for room to send. Read at each call.
+WAIT_S = 5.0
 
 
 class ClientError(Exception):
@@ -57,13 +61,11 @@ class MqttConnection:
         client_id: str,
         *,
         keep_alive_s: int = 0,
-        connect_timeout: float = 5.0,
     ):
         self.host = host
         self.port = port
         self.client_id = client_id
         self.keep_alive_s = keep_alive_s
-        self._connect_timeout = connect_timeout
         self._sock: Optional[socket.socket] = None
         self._connack_due = False
         self._reader = mqtt.PacketReader()
@@ -72,9 +74,7 @@ class MqttConnection:
     def connect(self) -> None:
         """Open the TCP connection and send CONNECT; the CONNACK is read later."""
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self._connect_timeout
-            )
+            sock = socket.create_connection((self.host, self.port), timeout=WAIT_S)
         except OSError as exc:
             raise ClientError(f"cannot reach broker at {self.host}:{self.port}: {exc}") from exc
         self._sock = sock
@@ -90,7 +90,7 @@ class MqttConnection:
         subscribe = mqtt.Subscribe(packet_id=packet_id, filters=((topic_filter, 0),))
         self._send(mqtt.encode_packet(subscribe))
         self._settle()  # after the SUBSCRIBE: it shares the CONNECT's round trip
-        ack = self._await_packet(mqtt.Suback, time.monotonic() + self._connect_timeout)
+        ack = self._await_packet(mqtt.Suback, time.monotonic() + WAIT_S)
         if ack is None:
             raise ClientError("broker closed the connection during subscribe")
         if ack.packet_id != packet_id:
@@ -145,12 +145,12 @@ class MqttConnection:
     # -- internals ----------------------------------------------------------
 
     def _settle(self) -> None:
-        """Check a CONNACK still due, waiting no longer than the connect timeout."""
+        """Check a CONNACK still due, waiting no longer than :data:`WAIT_S`."""
         if self._connack_due:
             try:
-                self._check_connack(time.monotonic() + self._connect_timeout)
+                self._check_connack(time.monotonic() + WAIT_S)
             except TimeoutError:
-                raise ClientError(f"no CONNACK within {self._connect_timeout} s") from None
+                raise ClientError(f"no CONNACK within {WAIT_S} s") from None
 
     def _check_connack(self, deadline: Optional[float]) -> None:
         ack = self._await_packet(mqtt.Connack, deadline)
@@ -177,8 +177,8 @@ class MqttConnection:
         sock = self._sock
         if sock is None:
             raise ClientError("not connected")
-        if sock.gettimeout() != self._connect_timeout:  # a read left its own
-            sock.settimeout(self._connect_timeout)
+        if sock.gettimeout() != WAIT_S:  # a read left its own
+            sock.settimeout(WAIT_S)
         try:
             sent = sock.sendmsg(buffers)
             for buf in buffers:

@@ -101,7 +101,7 @@ def authenticate(enclave: AuthEnclave, candidate) -> AuthVerdict:
     return AuthVerdict(
         authorized=bool(result & 1),
         cycles=cycles,
-        elapsed_ns=cycles * enclave.model.clock_period_ns,
+        elapsed_ns=cycles * enclave.model.CLOCK_PERIOD_NS,
         words_written=len(words),
     )
 

@@ -97,8 +97,8 @@ class LatencyModel:
 
     mode: str
     latency_cycles: int
-    clock_period_ns: int = 10
 
+    CLOCK_PERIOD_NS = 10
     PIPELINED_CYCLES = 34
     UNPIPELINED_CYCLES = 64
 
@@ -273,7 +273,7 @@ class AuthEnclave:
 
     def elapsed_ns(self) -> int:
         """Wall time of the modeled clock: cycles times the 10 ns period."""
-        return self.cycle_counter * self.model.clock_period_ns
+        return self.cycle_counter * self.model.CLOCK_PERIOD_NS
 
     def __repr__(self) -> str:
         state = "busy" if self.busy else ("done" if self._done else "idle")

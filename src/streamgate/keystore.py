@@ -15,6 +15,7 @@ README so they can be written by hand on a device:
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -61,6 +62,10 @@ class GatewayConfig:
     mqtt_client_id: str = "edge-gateway"
     credentials_path: str = "credentials.txt"
     enclave_pipelined: bool = True
+
+    def set(self, key: str, value) -> None:
+        """Set config key ``key`` to a value its rule returned."""
+        setattr(self, key.replace(".", "_"), value)
 
 
 def checked(parse, ok, what: str):
@@ -136,7 +141,7 @@ def parse_config(text: str) -> GatewayConfig:
             value = RULES[key](raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-        setattr(config, key.replace(".", "_"), value)
+        config.set(key, value)
     return config
 
 
@@ -149,16 +154,15 @@ def _first_payload_line(text: str) -> tuple[Optional[str], int]:
 
 
 def _decode_hex_key(line: str, lineno: int) -> bytes:
+    if line.strip(string.hexdigits):  # what is left is no hex digit; fromhex skips spaces
+        raise CredentialsError(f"line {lineno}: non-hex character in key")
     if len(line) % 2 != 0:
         raise CredentialsError(f"line {lineno}: odd-length hex key ({len(line)} digits)")
     if len(line) > 2 * KEY_BYTES:
         raise CredentialsError(
             f"line {lineno}: key longer than {KEY_BYTES} bytes ({len(line) // 2})"
         )
-    try:
-        return bytes.fromhex(line)
-    except ValueError:
-        raise CredentialsError(f"line {lineno}: non-hex character in key") from None
+    return bytes.fromhex(line)
 
 
 def parse_credentials(text: str) -> bytes:

@@ -82,7 +82,7 @@ def test_criterion_2_latency_model():
         results[mode] = (
             set(cycles) == {expected_cycles},
             statistics.pvariance(cycles) == 0.0,
-            expected_cycles * model.clock_period_ns,
+            expected_cycles * model.CLOCK_PERIOD_NS,
         )
     ok = (
         results["pipelined"][0]

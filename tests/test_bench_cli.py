@@ -1,10 +1,12 @@
 """Benchmark harness and command-line entry points."""
 
+import dataclasses
 import logging
 import random
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -68,15 +70,17 @@ def test_suite_replication_many_seeds():
 # -- latency ------------------------------------------------------------------
 
 
-def test_latency_pipelined():
-    result = bench.measure_latency("pipelined", samples=100)
+def test_latency_pipelined(monkeypatch):
+    monkeypatch.setattr(bench, "LATENCY_SAMPLES", 100)
+    result = bench.measure_latency("pipelined")
     assert result.cycles == 34
     assert result.elapsed_ns == 340
     assert result.cycle_variance == 0.0
 
 
-def test_latency_unpipelined():
-    result = bench.measure_latency("unpipelined", samples=100)
+def test_latency_unpipelined(monkeypatch):
+    monkeypatch.setattr(bench, "LATENCY_SAMPLES", 100)
+    result = bench.measure_latency("unpipelined")
     assert result.cycles == 64
     assert result.elapsed_ns == 640
     assert result.cycle_variance == 0.0
@@ -86,14 +90,20 @@ def test_latency_unpipelined():
 def test_latency_rejects_unknown_mode(mode):
     # Anything but "pipelined" would otherwise measure the 64-cycle core.
     with pytest.raises(ValueError, match="mode"):
-        bench.measure_latency(mode, samples=10)
+        bench.measure_latency(mode)
 
 
 # -- loopback and report ---------------------------------------------------------
 
 
-def test_loopback_run_small():
-    run = bench.run_loopback(25.0, 20, width=64, height=64, frame_bytes=128, seed=5)
+@pytest.fixture
+def small_frames(monkeypatch):
+    monkeypatch.setattr(bench, "WIDTH", 64)
+    monkeypatch.setattr(bench, "HEIGHT", 64)
+
+
+def test_loopback_run_small(small_frames):
+    run = bench.run_loopback(25.0, 20, seed=5)
     assert run.frames_sent == 20
     assert run.frames_received == 20
     assert run.hashes_match
@@ -101,9 +111,10 @@ def test_loopback_run_small():
     assert run.within_tolerance
 
 
-def test_bench_report_deterministic_fields():
-    a = bench.run_bench(seed=9, fps_targets=(), frames_per_target=None)
-    b = bench.run_bench(seed=9, fps_targets=(), frames_per_target=None)
+def test_bench_report_deterministic_fields(monkeypatch):
+    monkeypatch.setattr(bench, "FPS_TARGETS", ())
+    a = bench.run_bench(seed=9, frames_per_target=None)
+    b = bench.run_bench(seed=9, frames_per_target=None)
     assert a.suite_counts == b.suite_counts == bench.TABLE_SUITE_COUNTS
     assert (a.successes, a.failures) == (b.successes, b.failures) == (10, 22)
     assert a.latency == b.latency
@@ -112,11 +123,9 @@ def test_bench_report_deterministic_fields():
     assert a_lines == b_lines
 
 
-def test_bench_report_text_format():
-    report = bench.run_bench(
-        seed=1, fps_targets=(50.0,), frames_per_target=10, width=64, height=64,
-        frame_bytes=128,
-    )
+def test_bench_report_text_format(monkeypatch, small_frames):
+    monkeypatch.setattr(bench, "FPS_TARGETS", (50.0,))
+    report = bench.run_bench(seed=1, frames_per_target=10)
     text = report.to_text()
     assert "auth_suite.successes: 10" in text
     assert "auth_suite.failures: 22" in text
@@ -130,24 +139,39 @@ def test_bench_report_text_format():
         assert ": " in line
 
 
+ONE_FRAME_RUN = bench.FpsRun(
+    target_fps=14.0,
+    frames_requested=2,
+    frames_sent=1,
+    frames_received=1,
+    publisher_fps=None,
+    subscriber_fps=None,
+    hashes_match=True,
+    indices_increasing=True,
+    within_tolerance=False,
+)
+
+
+def report_text(*fps_runs):
+    return bench.BenchReport(
+        seed=0, suite_counts={}, successes=0, failures=0, latency=[], fps_runs=list(fps_runs)
+    ).to_text()
+
+
 def test_bench_report_prints_missing_rates_as_n_a():
-    run = bench.FpsRun(
-        target_fps=14.0,
-        frames_requested=2,
-        frames_sent=1,
-        frames_received=1,
-        publisher_fps=None,
-        subscriber_fps=None,
-        hashes_match=True,
-        indices_increasing=True,
-        within_tolerance=False,
-    )
-    report = bench.BenchReport(
-        seed=0, suite_counts={}, successes=0, failures=0, latency=[], fps_runs=[run]
-    )
-    text = report.to_text()
+    text = report_text(ONE_FRAME_RUN)
     assert "fps.target_14.publisher_fps: n/a\n" in text
     assert "fps.target_14.subscriber_fps: n/a\n" in text
+
+
+def test_bench_report_prints_whether_indices_increased():
+    # FpsRun computed it, but the report never printed it.
+    backwards = dataclasses.replace(ONE_FRAME_RUN, frames_sent=2, indices_increasing=False)
+    text = report_text(backwards)
+    assert text.endswith(
+        "fps.target_14.within_tolerance: false\n"
+        "fps.target_14.indices_increasing: false\n"
+    )
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -468,8 +492,20 @@ def _not_utf8(workdir):
 
 @pytest.mark.parametrize(
     "flag, make",
-    [("--provision", _a_directory), ("--config", _a_directory), ("--provision", _not_utf8)],
-    ids=["provision-is-a-directory", "config-is-a-directory", "provision-not-utf8"],
+    [
+        ("--provision", _a_directory),
+        ("--config", _a_directory),
+        ("--provision", _not_utf8),
+        ("--config", _not_utf8),
+        ("--credentials", _not_utf8),
+    ],
+    ids=[
+        "provision-is-a-directory",
+        "config-is-a-directory",
+        "provision-not-utf8",
+        "config-not-utf8",
+        "credentials-not-utf8",
+    ],
 )
 def test_cmd_auth_unreadable_file_is_bad_input(workdir, capsys, flag, make):
     files = {"--config": workdir / "gateway.cfg", "--provision": workdir / "secret.hex"}
@@ -477,7 +513,37 @@ def test_cmd_auth_unreadable_file_is_bad_input(workdir, capsys, flag, make):
     argv = ["auth"]
     for name, path in files.items():
         argv += [name, str(path)]
-    assert_one_error_line(cli.main(argv), capsys.readouterr().err)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert_one_error_line(code, err)
+    assert str(files[flag]) in err  # a file that was not UTF-8 went unnamed
+
+
+@pytest.mark.parametrize("command", ["auth", "stream"])
+def test_empty_credentials_flag_is_bad_input_before_any_file_is_read(
+    workdir, capsys, monkeypatch, command
+):
+    # It fell back to the config's credentials.path, and auth exited 0.
+    reads = []
+    real_read_text = Path.read_text
+
+    def spy_read_text(path, *args, **kwargs):
+        reads.append(path)
+        return real_read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy_read_text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            [
+                command,
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                "--credentials", "",
+            ]
+        )
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    assert reads == []
+    assert "argument --credentials: must not be empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["absent", "empty"])
@@ -525,6 +591,22 @@ def test_cmd_broker_port_in_use_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert_one_error_line(code, err)
     assert "cannot bind broker" in err
+
+
+def test_cmd_broker_empty_host_is_bad_input(capsys, monkeypatch):
+    # It bound every interface without a word.
+    served = []
+
+    def spy_serve(*args):
+        served.append(args)
+        raise KeyboardInterrupt  # as if stopped at once, rather than serve
+
+    monkeypatch.setattr(cli.broker_mod, "serve", spy_serve)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["broker", "--host", "", "--port", "0"])
+    assert exit_info.value.code == cli.EXIT_BAD_INPUT
+    assert served == []
+    assert "argument --host: must not be empty" in capsys.readouterr().err
 
 
 def test_cmd_stream_unreachable_broker_is_bad_input(workdir, capsys):
@@ -610,6 +692,24 @@ def test_cmd_bench_writes_report(workdir, capsys):
     assert "auth_suite.failures: 22" in text
     assert "latency.pipelined.cycles: 34" in text
     assert capsys.readouterr().out.startswith("seed: 4")
+
+
+def test_cmd_bench_report_that_is_a_directory_fails_before_any_run(
+    workdir, capsys, monkeypatch
+):
+    # It ran the whole bench, about 15 s, before failing to write.
+    runs = []
+
+    def spy_run_bench(*args, **kwargs):
+        runs.append(kwargs)
+        return bench.BenchReport(
+            seed=0, suite_counts={}, successes=0, failures=0, latency=[], fps_runs=[]
+        )
+
+    monkeypatch.setattr(bench, "run_bench", spy_run_bench)
+    code = cli.main(["bench", "--report", str(_a_directory(workdir))])
+    assert_one_error_line(code, capsys.readouterr().err)
+    assert runs == []
 
 
 @pytest.mark.parametrize("frames", ["0", "-1", "1"])

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from streamgate import mqtt
+from streamgate import client, mqtt
 from streamgate.client import ClientError, MqttConnection
 from streamgate.enclave import AuthEnclave
 from streamgate.keystore import GatewayConfig
@@ -270,13 +270,14 @@ def test_every_reading_call_reports_a_refusal(call):
     result()
 
 
-def test_close_without_a_connack_gives_up_after_the_connect_timeout():
+def test_close_without_a_connack_gives_up_after_the_connect_timeout(monkeypatch):
     def script(peer):
         peer.read(1)
         return peer.read_to_end()
 
     port, result = serve_one(script)
-    conn = MqttConnection("127.0.0.1", port, "gw", connect_timeout=0.3)
+    monkeypatch.setattr(client, "WAIT_S", 0.3)
+    conn = MqttConnection("127.0.0.1", port, "gw")
     conn.connect()
     start = time.monotonic()
     with pytest.raises(ClientError, match="no CONNACK"):
@@ -439,9 +440,9 @@ def test_recv_timeout_zero_takes_a_packet_already_in_and_never_waits():
 
 @pytest.mark.parametrize("read_timeout", [None, 0])
 def test_a_send_to_a_peer_that_never_reads_gives_up_after_the_connect_timeout(
-    read_timeout,
+    read_timeout, monkeypatch
 ):
-    # Whatever wait the last read used, a send waits for connect_timeout.
+    # Whatever wait the last read used, a send waits for client.WAIT_S.
     answered = threading.Event()
     done = threading.Event()
 
@@ -452,7 +453,8 @@ def test_a_send_to_a_peer_that_never_reads_gives_up_after_the_connect_timeout(
         done.wait(10.0)  # never reads the publish
 
     port, result = serve_one(script)
-    conn = MqttConnection("127.0.0.1", port, "pub", connect_timeout=0.3)
+    monkeypatch.setattr(client, "WAIT_S", 0.3)
+    conn = MqttConnection("127.0.0.1", port, "pub")
     conn.connect()
     conn.ping()
     assert answered.wait(2.0)

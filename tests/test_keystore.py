@@ -222,6 +222,21 @@ def test_bad_credentials_rejected(text):
         parse_credentials(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_credentials, "ab  cd"),
+        (parse_credentials, "ab\tcd"),
+        (parse_provisioning, " ".join(["ab"] * 32)),
+    ],
+    ids=["spaces", "tab", "provisioning-byte-pairs"],
+)
+def test_whitespace_inside_a_key_line_is_a_non_hex_character(parse, text):
+    # bytes.fromhex skips spaces between byte pairs, so "ab  cd" read as 2 bytes.
+    with pytest.raises(CredentialsError, match="^line 1: non-hex character in key$"):
+        parse(text)
+
+
 def test_random_credentials_never_exceed_32_bytes():
     rng = random.Random(5)
     for _ in range(200):
