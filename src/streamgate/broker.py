@@ -10,7 +10,10 @@ publisher/broker/subscriber loop.
 One thread runs a ``selectors`` loop over the listener and every
 session socket. That thread owns all broker state, so nothing is
 locked. Each select batch is handled in full before any output is
-flushed.
+flushed. A fault while receiving, decoding or handling one session's
+bytes logs and closes that session only. A CONNECT that supersedes a
+session with the same client id first routes what the old one had
+sent, up to what its socket could hold (``SO_RCVBUF``), then closes it.
 
 A PUBLISH is never re-encoded: every matching session's outbox gets one
 new header and the payload object as received. The outbox holds at most
@@ -220,7 +223,7 @@ class Broker:
                         if events & selectors.EVENT_WRITE:
                             self._unflushed.add(session)
                         if events & selectors.EVENT_READ:
-                            self._read_guarded(session)
+                            self._read(session)
                 while self._unflushed:
                     self._flush(self._unflushed.pop())
                 timeout = self._expire_idle()
@@ -251,47 +254,42 @@ class Broker:
         self._timed.add(session)  # until its CONNECT is in
         self._selector.register(sock, selectors.EVENT_READ, session)
 
-    def _read_guarded(self, session: _Session) -> None:
-        # One thread serves every session: a fault handling this one
-        # must end this session only.
-        try:
-            self._read(session)
-        except Exception:
-            log.exception("session %s: internal error", session.name)
-            self._close(session, "internal error")
+    def _read(self, session: _Session) -> int:
+        """Receive once and handle each whole packet now in; the bytes taken.
 
-    def _read(self, session: _Session) -> bool:
-        """Receive once and handle each whole packet now in.
-
-        Returns False once the socket has nothing more to give.
+        0 means the session has nothing more to give: its socket would
+        block, or the session is closed. One thread serves every session,
+        so a fault receiving, decoding or handling ends this session only.
         """
         try:
             received = session.reader.recv(session.sock)
         except BlockingIOError:
-            return False
+            return 0
         except OSError:
             self._close(session, "socket error")
-            return False
+            return 0
         if not received:
             self._close(session, "peer closed")
-            return False
+            return 0
         session.last_activity = time.monotonic()
-        while not session.closed:
-            try:
+        try:
+            while not session.closed:
                 if session.client_id is not None:
                     packet = session.reader.next(mqtt.MAX_PACKET_LENGTH)
                 elif session.reader.pending[0] >> 4 == mqtt.PacketType.CONNECT:
                     packet = session.reader.next(mqtt.MAX_CONNECT_LENGTH)
                 else:  # nothing is consumed before CONNECT, so pending[0] is the first byte
                     raise mqtt.MalformedPacketError("first packet is not CONNECT")
-            except mqtt.MalformedPacketError as exc:
-                log.warning("session %s: malformed packet: %s", session.name, exc)
-                self._close(session, "malformed packet")
-                break
-            if packet is None:
-                break
-            self._handle(session, packet)
-        return not session.closed
+                if packet is None:
+                    break
+                self._handle(session, packet)
+        except mqtt.MalformedPacketError as exc:  # a drain in _handle catches its own
+            log.warning("session %s: malformed packet: %s", session.name, exc)
+            self._close(session, "malformed packet")
+        except Exception:
+            log.exception("session %s: internal error", session.name)
+            self._close(session, "internal error")
+        return 0 if session.closed else received
 
     def _handle(self, session: _Session, packet) -> None:
         if session.client_id is None:  # _read lets only a CONNECT through
@@ -337,9 +335,11 @@ class Broker:
         superseded = self._sessions.get(packet.client_id)
         if superseded is not None:
             log.info("client id %r reconnected, superseding old session", packet.client_id)
-            # Route what the old connection already sent before cutting it.
-            while self._read(superseded):
-                pass
+            # Route what the old connection sent before cutting it, up to what
+            # its socket holds: a peer that keeps sending must not hold the loop.
+            left = superseded.sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            while left > 0 and (taken := self._read(superseded)):
+                left -= taken
             self._close(superseded, "superseded by new connect")
         session.client_id = packet.client_id
         session.keep_alive_s = packet.keep_alive_s

@@ -90,7 +90,10 @@ class MqttConnection:
         subscribe = mqtt.Subscribe(packet_id=packet_id, filters=((topic_filter, 0),))
         self._send(mqtt.encode_packet(subscribe))
         self._settle()  # after the SUBSCRIBE: it shares the CONNECT's round trip
-        ack = self._await_packet(mqtt.Suback, time.monotonic() + WAIT_S)
+        try:
+            ack = self._await_packet(mqtt.Suback, time.monotonic() + WAIT_S)
+        except TimeoutError:
+            raise ClientError(f"no SUBACK within {WAIT_S} s") from None
         if ack is None:
             raise ClientError("broker closed the connection during subscribe")
         if ack.packet_id != packet_id:

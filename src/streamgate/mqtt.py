@@ -268,11 +268,10 @@ def topic_matches(filter_: str, topic: str) -> bool:
 
     ``#`` matches any suffix including the parent level itself
     (``a/#`` matches ``a``); ``+`` matches exactly one level, which may
-    be empty.
+    be empty. The filter has passed :func:`validate_filter` and the
+    topic :func:`validate_publish_topic`, as every pair the broker
+    matches has; nothing here checks them again.
     """
-    validate_filter(filter_)
-    if "+" in topic or "#" in topic:
-        raise ValueError(f"topic must be wildcard-free: {topic!r}")
     flevels = filter_.split("/")
     tlevels = topic.split("/")
     for i, fpart in enumerate(flevels):

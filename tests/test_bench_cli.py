@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import random
+import re
 import socket
 import threading
 import time
@@ -666,6 +667,42 @@ def test_cmd_stream_interrupted_midway_exits_0_with_stats(workdir, capsys, monke
         )
     assert code == cli.EXIT_OK
     assert "frames_sent: 4\n" in capsys.readouterr().out
+
+
+def test_cmd_stream_session_ended_midway_exits_2_with_partial_stats(
+    workdir, capsys, monkeypatch
+):
+    # A second client with the gateway's client id supersedes its session
+    # after 3 frames; the broker closes the gateway's connection.
+    class SupersededSource(pipeline.SyntheticFrameSource):
+        def next_frame(self):
+            if self._index == 3:
+                intruder = MqttConnection("127.0.0.1", broker.port, "edge-gateway")
+                intruder.connect()
+                intruder.subscribe("elsewhere")  # the old session is closed by its SUBACK
+                intruders.append(intruder)
+            return super().next_frame()
+
+    intruders = []
+    monkeypatch.setattr(
+        pipeline, "source_from_config", lambda config: SupersededSource(64, 64, frame_bytes=64)
+    )
+    with Broker("127.0.0.1", 0) as broker:
+        code = cli.main(
+            [
+                "stream",
+                "--config", str(workdir / "gateway.cfg"),
+                "--provision", str(workdir / "secret.hex"),
+                "--host", "127.0.0.1",
+                "--port", str(broker.port),
+                "--frames", "50",
+            ]
+        )
+        intruders[0].disconnect()
+    assert code == cli.EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert "stream aborted:" in err
+    assert 3 <= int(re.search(r"^frames_sent: (\d+)$", out, re.M).group(1)) < 50
 
 
 def test_cmd_subscribe_interrupted_midway_exits_0_with_report(capsys, monkeypatch):

@@ -511,6 +511,82 @@ def test_reconnect_with_same_id_loses_no_frames(broker):
     sub.disconnect()
 
 
+def test_a_superseded_session_that_keeps_sending_cannot_hold_the_loop(broker):
+    # The old session is drained of what its socket held, not for as long
+    # as its peer sends: a third session must still get its PINGRESP.
+    witness = connect(broker, "witness")
+    witness.ping()
+    assert isinstance(witness.recv_packet(timeout=2.0), mqtt.Pingresp)
+    flooder = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    flooder.sendall(mqtt.encode_packet(mqtt.Connect(client_id="dup")))
+    assert recv_packets(flooder, 1) == [mqtt.Connack()]
+    publish = mqtt.encode_packet(mqtt.Publish(topic="t", payload=bytes(16)))
+    assert len(publish) == 21
+    stop = threading.Event()
+
+    def flood():
+        deadline = time.monotonic() + 10.0
+        try:
+            while not stop.is_set() and time.monotonic() < deadline:
+                flooder.sendall(publish * 3000)
+        except OSError:  # the broker closed the session
+            pass
+
+    sender = threading.Thread(target=flood, daemon=True)
+    sender.start()
+    try:
+        time.sleep(0.2)
+        second = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+        second.sendall(mqtt.encode_packet(mqtt.Connect(client_id="dup")))
+        time.sleep(0.2)  # the broker has taken the second CONNECT by now
+        witness.ping()
+        assert isinstance(witness.recv_packet(timeout=1.0), mqtt.Pingresp)
+        assert recv_packets(second, 1) == [mqtt.Connack()]
+    finally:
+        stop.set()
+        sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    flooder.close()
+    second.close()
+    witness.disconnect()
+
+
+def test_a_fault_draining_a_superseded_session_closes_that_session_only(broker, monkeypatch):
+    # The old session's last PUBLISH is handled while the new session's
+    # CONNECT is: a fault routing it must close the old session, and the
+    # new one must still connect.
+    held, release = threading.Event(), threading.Event()
+    real_route = broker.route
+
+    def route(publish):
+        if publish.topic == "hold":  # keeps the loop here while both sockets fill
+            held.set()
+            release.wait(timeout=5.0)
+        elif publish.topic == "boom":
+            raise RuntimeError("fault routing a drained publish")
+        real_route(publish)
+
+    monkeypatch.setattr(broker, "route", route)
+    old = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    old.sendall(mqtt.encode_packet(mqtt.Connect(client_id="dup")))
+    assert recv_packets(old, 1) == [mqtt.Connack()]
+    holder = connect(broker, "holder")
+    new = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    wait_until(lambda: broker.stats.connections_accepted == 3, what="three sessions")
+    holder.publish("hold", b"")
+    assert held.wait(timeout=2.0)
+    new.sendall(mqtt.encode_packet(mqtt.Connect(client_id="dup")))
+    time.sleep(0.05)  # so the next select lists the new CONNECT first
+    old.sendall(mqtt.encode_packet(mqtt.Publish(topic="boom", payload=b"x")))
+    time.sleep(0.05)
+    release.set()
+    assert_closed_by_broker(old)
+    new.sendall(raw_subscribe(1, [("t", 0)]))
+    assert [type(p) for p in recv_packets(new, 2)] == [mqtt.Connack, mqtt.Suback]
+    new.close()
+    holder.disconnect()
+
+
 # -- robustness --------------------------------------------------------------------
 
 _JUNK = st.builds(

@@ -1,6 +1,7 @@
 """Client connection framing against a hand-driven server."""
 
 import random
+import re
 import socket
 import threading
 import time
@@ -286,6 +287,50 @@ def test_close_without_a_connack_gives_up_after_the_connect_timeout(monkeypatch)
     with pytest.raises(ClientError, match="not connected"):
         conn.publish("t", b"x")
     assert result() == []
+
+
+def test_subscribe_without_a_suback_gives_up_after_the_connect_timeout(monkeypatch):
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack())
+        return peer.read_to_end()
+
+    port, result = serve_one(script)
+    monkeypatch.setattr(client, "WAIT_S", 0.3)
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    start = time.monotonic()
+    with pytest.raises(ClientError, match=r"no SUBACK within 0\.3 s"):
+        conn.subscribe("cam/#")
+    assert 0.25 <= time.monotonic() - start <= 2.0
+    conn.close()
+    assert result() == []
+
+
+@pytest.mark.parametrize(
+    "answer,refusal",
+    [
+        (mqtt.Suback(packet_id=1, granted=(0x80,)), "broker rejected filter 'cam/#'"),
+        (mqtt.Suback(packet_id=2, granted=(0,)), "suback for unexpected packet id 2"),
+        (None, "broker closed the connection during subscribe"),
+    ],
+    ids=["failure-code", "other-packet-id", "closed-after-connack"],
+)
+def test_each_subscribe_refusal_raises_client_error(monkeypatch, answer, refusal):
+    def script(peer):
+        peer.read(2)
+        peer.send(mqtt.Connack(), *([answer] if answer else []))
+        if answer:  # else the connection closes here
+            peer.read_to_end()
+
+    port, result = serve_one(script)
+    monkeypatch.setattr(client, "WAIT_S", 0.3)
+    conn = MqttConnection("127.0.0.1", port, "sub")
+    conn.connect()
+    with pytest.raises(ClientError, match=re.escape(refusal)):
+        conn.subscribe("cam/#")
+    conn.close()
+    result()
 
 
 # -- what a broker can make the client hold or wait for -----------------------------

@@ -197,6 +197,7 @@ def _body(packet: mqtt.MqttPacket) -> bytes:
         (b"\xa2\x02\x00\x01", "unsubscribe with no filters"),
         (b"\xa0\x05\x00\x01\x00\x01a", "unsubscribe flags must be 2"),
         (b"\xa2\x05\x00\x00\x00\x01a", "unsubscribe packet id zero"),
+        (b"\x82\x05\x00\x01\x00\x00\x00", "subscribe empty filter"),
         (b"\xa2\x04\x00\x01\x00\x00", "unsubscribe empty filter"),
         (b"\xa2\x05\x00\x01\x00\x02a", "unsubscribe filter runs past body"),
         (b"\xb1\x02\x00\x01", "unsuback flags nonzero"),
@@ -323,11 +324,6 @@ def test_topic_matching_semantics(filter_, topic, expected):
 def test_invalid_filters_rejected(bad):
     with pytest.raises(mqtt.FilterError):
         mqtt.validate_filter(bad)
-
-
-def test_topic_matches_rejects_wildcard_topic():
-    with pytest.raises(ValueError):
-        mqtt.topic_matches("a/b", "a/+")
 
 
 def test_matcher_agrees_with_reference():

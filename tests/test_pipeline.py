@@ -302,6 +302,16 @@ def test_requires_a_bound():
         publish_stream(GatewayConfig(), enclave, SECRET)
 
 
+def test_negative_frame_bound_refused_before_authenticating(monkeypatch):
+    def no_authenticate(*args):
+        raise AssertionError("authenticated")
+
+    monkeypatch.setattr(pipeline.driver, "authenticate", no_authenticate)
+    config = GatewayConfig(mqtt_host="127.0.0.1", mqtt_port=9)
+    with pytest.raises(ValueError, match="max_frames"):
+        publish_stream(config, AuthEnclave(SECRET), SECRET, max_frames=-1)
+
+
 @pytest.mark.parametrize("fps", [-5.0, 0.0, float("nan")])
 def test_non_positive_fps_refused_before_authenticating(monkeypatch, fps):
     def no_authenticate(*args):
