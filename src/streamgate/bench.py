@@ -29,8 +29,8 @@ import hashlib
 import platform
 import random
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -107,12 +107,9 @@ class LatencyResult:
     cycle_variance: float
 
 
-def measure_latency(mode: str, seed: int = 0) -> LatencyResult:
-    """START-to-DONE cycle count across random candidates in one mode."""
-    if mode not in ("pipelined", "unpipelined"):
-        raise ValueError(f"mode must be 'pipelined' or 'unpipelined', got {mode!r}")
+def measure_latency(model: LatencyModel, seed: int = 0) -> LatencyResult:
+    """START-to-DONE cycle count across random candidates under one latency model."""
     rng = random.Random(seed)
-    model = LatencyModel.pipelined() if mode == "pipelined" else LatencyModel.unpipelined()
     enclave = AuthEnclave(generate_secret(rng), model)
     observed = []
     for _ in range(LATENCY_SAMPLES):
@@ -121,7 +118,7 @@ def measure_latency(mode: str, seed: int = 0) -> LatencyResult:
     mean = sum(observed) / len(observed)
     variance = sum((c - mean) ** 2 for c in observed) / len(observed)
     return LatencyResult(
-        mode=mode,
+        mode=model.mode,
         cycles=observed[0],
         elapsed_ns=observed[0] * model.CLOCK_PERIOD_NS,
         samples=LATENCY_SAMPLES,
@@ -147,14 +144,15 @@ def run_loopback(target_fps: float, frames: int, *, seed: int = 0) -> FpsRun:
 
     The subscriber is confirmed subscribed (its filter is visible in
     the broker table) before the publisher starts, so every frame is
-    catchable.
+    catchable. An error the subscriber raises is raised here, at once.
     """
     rng = random.Random(seed)
     secret = generate_secret(rng)
     enclave = AuthEnclave(secret, LatencyModel.pipelined())
     source = pipeline.SyntheticFrameSource(WIDTH, HEIGHT)
 
-    with Broker("127.0.0.1", 0) as broker:
+    # The broker stops first, so a subscriber still waiting ends at once.
+    with ThreadPoolExecutor(1, "bench-subscriber") as pool, Broker("127.0.0.1", 0) as broker:
         config = GatewayConfig(
             camera_width=WIDTH,
             camera_height=HEIGHT,
@@ -163,34 +161,30 @@ def run_loopback(target_fps: float, frames: int, *, seed: int = 0) -> FpsRun:
             mqtt_port=broker.port,
             mqtt_client_id=f"bench-publisher-{seed}",
         )
-        report_box: dict = {}
-
-        def _collect():
-            report_box["report"] = subscriber.subscribe_and_collect(
-                "127.0.0.1",
-                broker.port,
-                config.mqtt_topic,
-                max_frames=frames,
-                duration_s=frames / target_fps + 10.0,
-                client_id=f"bench-subscriber-{seed}",
-            )
-
-        collector = threading.Thread(target=_collect, name="bench-subscriber", daemon=True)
-        collector.start()
+        collector = pool.submit(
+            subscriber.subscribe_and_collect,
+            "127.0.0.1",
+            broker.port,
+            config.mqtt_topic,
+            max_frames=frames,
+            duration_s=frames / target_fps + 10.0,
+            client_id=f"bench-subscriber-{seed}",
+        )
         deadline = time.monotonic() + 5.0
-        while broker.table.filter_count() == 0:
+        while broker.table.filter_count() == 0 and not collector.done():
             if time.monotonic() > deadline:
                 raise RuntimeError("subscriber did not register in time")
             time.sleep(0.01)
+        if collector.done():
+            collector.result()  # raises the subscriber's own error
 
         result = pipeline.publish_stream(
             config, enclave, secret, max_frames=frames, source=source
         )
-        collector.join(timeout=frames / target_fps + 15.0)
-        report = report_box.get("report")
+        if not wait([collector], timeout=frames / target_fps + 15.0).done:
+            raise RuntimeError("subscriber did not finish")
+        report = collector.result()
 
-    if report is None:
-        raise RuntimeError("subscriber did not finish")
     assert result.stats is not None
 
     expected_hashes = [
@@ -266,10 +260,8 @@ def run_bench(seed: int = 0, *, frames_per_target: Optional[int] = None) -> Benc
     enclave = AuthEnclave(secret, LatencyModel.pipelined())
     summary = driver.run_attempt_suite(enclave, generate_suite(secret, rng))
 
-    latency = [
-        measure_latency("pipelined", seed=seed),
-        measure_latency("unpipelined", seed=seed),
-    ]
+    models = (LatencyModel.pipelined(), LatencyModel.unpipelined())
+    latency = [measure_latency(model, seed=seed) for model in models]
 
     fps_runs = []
     notes = [

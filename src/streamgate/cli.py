@@ -88,19 +88,23 @@ _SECONDS = _flag(keystore.checked(float, lambda v: v >= 0, "a number of seconds 
 _TOPIC_FILTER = _flag(partial(keystore.nonempty, validate=mqtt.validate_filter))
 
 
-def _read(path: str, error) -> str:
-    """The text of a file; text that is not UTF-8 raises ``error`` naming the file."""
+def _load(path: str, parse, error):
+    """``parse`` of a file's UTF-8 text; any failure raises ``error`` led by the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # the parser's ConfigError or CredentialsError
+        raise error(f"{path}: {exc}") from None
 
 
 def _load_config(args) -> GatewayConfig:
     """The config file, or the defaults, with the override flags given applied."""
     config = GatewayConfig()
     if args.config is not None:
-        config = keystore.parse_config(_read(args.config, ConfigError))
+        config = _load(args.config, keystore.parse_config, ConfigError)
     for key in _OVERRIDES.values():
         value = getattr(args, key, None)  # None: not given, or not a flag of this command
         if value is not None:
@@ -109,13 +113,13 @@ def _load_config(args) -> GatewayConfig:
 
 
 def _load_enclave(config: GatewayConfig, provision: str) -> AuthEnclave:
-    image = keystore.parse_provisioning(_read(provision, CredentialsError))
+    image = _load(provision, keystore.parse_provisioning, CredentialsError)
     model = LatencyModel.pipelined() if config.enclave_pipelined else LatencyModel.unpipelined()
     return AuthEnclave(image, model)
 
 
 def _load_candidate(config: GatewayConfig) -> bytes:
-    return keystore.parse_credentials(_read(config.credentials_path, CredentialsError))
+    return _load(config.credentials_path, keystore.parse_credentials, CredentialsError)
 
 
 def cmd_auth(args) -> int:

@@ -8,8 +8,8 @@ the receive side. QoS 0 only, like everything else here.
 waiting for CONNACK, which MQTT 3.1.1 section 3.1.4 allows, so a
 publisher's first frame travels in the same round trip as its CONNECT.
 The first call that reads takes the CONNACK and checks it: receiving,
-subscribing (after its SUBSCRIBE is sent), disconnecting and closing.
-A refusal raises :class:`ClientError` there.
+subscribing (after its SUBSCRIBE is sent) and disconnecting. A refusal
+raises :class:`ClientError` there.
 
 The calls block through the socket's own timeout. Each read waits
 for what is left of its call's deadline, so the ``timeout`` of
@@ -47,7 +47,7 @@ class ClientError(Exception):
 class MqttConnection:
     """One client session against a broker.
 
-    End it with :meth:`disconnect` or :meth:`close`. Incoming
+    End it with :meth:`disconnect`. Incoming
     packets that arrive while waiting for an acknowledgement are queued
     and handed out by later :meth:`recv_packet` calls, so packet order
     is preserved. :meth:`publish` and :meth:`ping` never wait for the
@@ -125,23 +125,14 @@ class MqttConnection:
         drop the socket.
 
         The CONNACK comes first so that the broker has taken this CONNECT
-        before the same client id can connect again.
+        before the same client id can connect again, and because closing
+        with it unread would make the kernel reset the connection, which
+        discards what the broker has not read yet.
         """
         try:
             self._settle()
             with contextlib.suppress(ClientError):  # a lost goodbye changes nothing
                 self._send(mqtt.encode_packet(mqtt.Disconnect()))
-        finally:
-            self._drop()
-
-    def close(self) -> None:
-        """Drop the socket, once a CONNACK still due has been checked.
-
-        Closing with the CONNACK unread would make the kernel reset the
-        connection, and a reset discards what the broker has not read yet.
-        """
-        try:
-            self._settle()
         finally:
             self._drop()
 

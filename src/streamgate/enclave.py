@@ -200,15 +200,6 @@ class AuthEnclave:
     def idle(self) -> bool:
         return self.busy_until is None and not self._done
 
-    @property
-    def busy(self) -> bool:
-        """True while a comparison is in flight (started, not yet complete)."""
-        return self.busy_until is not None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
     # -- register access ---------------------------------------------------
 
     def write_word(self, addr: int, value: int) -> None:
@@ -276,7 +267,7 @@ class AuthEnclave:
         return self.cycle_counter * self.model.CLOCK_PERIOD_NS
 
     def __repr__(self) -> str:
-        state = "busy" if self.busy else ("done" if self._done else "idle")
+        state = "busy" if self.busy_until is not None else ("done" if self._done else "idle")
         return (
             f"AuthEnclave(mode={self.model.mode!r}, state={state!r}, "
             f"cycles={self.cycle_counter})"

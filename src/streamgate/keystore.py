@@ -129,7 +129,7 @@ def parse_config(text: str) -> GatewayConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, raw_value = line.partition("=")
         key = key.strip()
         if key not in RULES:

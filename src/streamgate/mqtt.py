@@ -97,6 +97,10 @@ class PacketType(IntEnum):
     DISCONNECT = 14
 
 
+# A plain int: shifting the IntEnum member on every frame costs more than the rest of the byte.
+_PUBLISH_BYTE = PacketType.PUBLISH << 4
+
+
 # ---------------------------------------------------------------------------
 # Packet types
 # ---------------------------------------------------------------------------
@@ -191,14 +195,14 @@ def encode_remaining_length(n: int) -> bytes:
     """Encode a remaining-length value in 1-4 bytes, minimal form."""
     if not 0 <= n <= MAX_REMAINING_LENGTH:
         raise EncodeError(f"remaining length out of range: {n}")
-    out = bytearray()
-    while True:
-        n, digit = divmod(n, 128)
-        if n:
-            out.append(digit | 0x80)
-        else:
-            out.append(digit)
-            return bytes(out)
+    # Seven bits a byte, low first; each byte but the last sets bit 7.
+    if n < 1 << 7:
+        return bytes((n,))
+    if n < 1 << 14:
+        return bytes((n & 0x7F | 0x80, n >> 7))
+    if n < 1 << 21:
+        return bytes((n & 0x7F | 0x80, n >> 7 & 0x7F | 0x80, n >> 14))
+    return bytes((n & 0x7F | 0x80, n >> 7 & 0x7F | 0x80, n >> 14 & 0x7F | 0x80, n >> 21))
 
 
 def decode_remaining_length(data) -> Tuple[int, int]:
@@ -298,12 +302,10 @@ def _encode_string(validate, value: str) -> bytes:
     return len(data).to_bytes(2, "big") + data
 
 
-def _fixed_header(packet_type: PacketType, flags: int, body: bytes, payload_len: int = 0) -> bytes:
-    """The fixed header and ``body``; a payload of ``payload_len`` bytes may follow."""
-    remaining = len(body) + payload_len
-    if remaining > MAX_REMAINING_LENGTH:
-        raise EncodeError(f"packet body of {remaining} bytes exceeds protocol cap")
-    return bytes([(packet_type << 4) | flags]) + encode_remaining_length(remaining) + body
+def _fixed_header(first: int, body: bytes, payload_len: int = 0) -> bytes:
+    """The fixed header, led by the type-and-flags byte ``first``, and ``body``;
+    a payload of ``payload_len`` bytes may follow."""
+    return bytes((first,)) + encode_remaining_length(len(body) + payload_len) + body
 
 
 def _encode_packet_id(packet_id: int) -> bytes:
@@ -315,7 +317,7 @@ def _encode_packet_id(packet_id: int) -> bytes:
 def publish_header(topic: str, payload_len: int, retain: bool = False) -> bytes:
     """Wire bytes of a QoS 0 PUBLISH up to its payload: fixed header and topic."""
     topic_field = _encode_string(validate_publish_topic, topic)
-    return _fixed_header(PacketType.PUBLISH, 0x01 if retain else 0x00, topic_field, payload_len)
+    return _fixed_header(_PUBLISH_BYTE | retain, topic_field, payload_len)
 
 
 def encode_packet(packet: MqttPacket) -> bytes:
@@ -330,12 +332,12 @@ def encode_packet(packet: MqttPacket) -> bytes:
             + packet.keep_alive_s.to_bytes(2, "big")
             + _encode_string(validate_client_id, packet.client_id)
         )
-        return _fixed_header(PacketType.CONNECT, 0, body)
+        return _fixed_header(PacketType.CONNECT << 4, body)
 
     if isinstance(packet, Connack):
         if not 0 <= packet.return_code <= 5:
             raise EncodeError(f"connack return code out of range: {packet.return_code}")
-        return _fixed_header(PacketType.CONNACK, 0, bytes([0, packet.return_code]))
+        return _fixed_header(PacketType.CONNACK << 4, bytes([0, packet.return_code]))
 
     if isinstance(packet, Publish):  # QoS 0, the only level in use
         return publish_header(packet.topic, len(packet.payload), packet.retain) + packet.payload
@@ -349,7 +351,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
                 raise EncodeError(f"requested QoS out of range: {qos}")
             body += _encode_string(validate_filter, filter_)
             body.append(qos)
-        return _fixed_header(PacketType.SUBSCRIBE, 0x02, bytes(body))
+        return _fixed_header(PacketType.SUBSCRIBE << 4 | 0x02, bytes(body))
 
     if isinstance(packet, Suback):
         body = _encode_packet_id(packet.packet_id)
@@ -358,7 +360,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
         for code in packet.granted:
             if code not in (0, 1, 2, 0x80):
                 raise EncodeError(f"bad suback return code: {code:#x}")
-        return _fixed_header(PacketType.SUBACK, 0, body + bytes(packet.granted))
+        return _fixed_header(PacketType.SUBACK << 4, body + bytes(packet.granted))
 
     if isinstance(packet, Unsubscribe):
         body = bytearray(_encode_packet_id(packet.packet_id))
@@ -366,10 +368,10 @@ def encode_packet(packet: MqttPacket) -> bytes:
             raise EncodeError("unsubscribe must carry at least one filter")
         for filter_ in packet.filters:
             body += _encode_string(validate_filter, filter_)
-        return _fixed_header(PacketType.UNSUBSCRIBE, 0x02, bytes(body))
+        return _fixed_header(PacketType.UNSUBSCRIBE << 4 | 0x02, bytes(body))
 
     if isinstance(packet, Unsuback):
-        return _fixed_header(PacketType.UNSUBACK, 0, _encode_packet_id(packet.packet_id))
+        return _fixed_header(PacketType.UNSUBACK << 4, _encode_packet_id(packet.packet_id))
 
     if isinstance(packet, Pingreq):
         return b"\xc0\x00"

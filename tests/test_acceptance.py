@@ -7,6 +7,8 @@ is CI-optional and skips with an explicit reason when no external
 implementation is installed.
 """
 
+import contextlib
+import io
 import logging
 import random
 import shutil
@@ -17,7 +19,7 @@ import time
 import pytest
 
 from packet_gen import random_packet
-from streamgate import bench, driver, mqtt, pipeline
+from streamgate import bench, cli, driver, mqtt, pipeline
 from streamgate.broker import Broker
 from streamgate.client import MqttConnection
 from streamgate.enclave import (
@@ -148,7 +150,35 @@ def _random_register_session(rng, observed: bytearray) -> bytes:
     return secret
 
 
-def test_criterion_4_secret_opacity():
+def _cli_key_file_errors(rng, directory, secrets) -> list:
+    """``auth``'s error lines for key files that break their rule around a
+    real key, and for a key file given as the config; the lines that
+    start with their own file's path."""
+    cases = [
+        ("--provision", lambda key: key + "g"),  # a non-hex character
+        ("--provision", lambda key: key[:-2]),  # 31 bytes
+        ("--credentials", lambda key: key + "0"),  # odd length
+        ("--credentials", lambda key: key + "00"),  # 33 bytes
+        ("--config", lambda key: key),  # a key file given as the config
+    ]
+    valid = directory / "valid.hex"
+    valid.write_text(rng.randbytes(32).hex())
+    named = []
+    for i, (flag, damage) in enumerate(cases):
+        secret = rng.randbytes(32)
+        secrets.append(secret)
+        path = directory / f"key{i}.hex"
+        path.write_text(damage(secret.hex()) + "\n")
+        files = {"--provision": valid, "--credentials": valid, flag: path}
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors):
+            code = cli.main(["auth", *(f"{k}={v}" for k, v in files.items())])
+        if code == cli.EXIT_BAD_INPUT:
+            named += [e for e in errors.getvalue().splitlines() if e.startswith(f"error: {path}: ")]
+    return named
+
+
+def test_criterion_4_secret_opacity(tmp_path):
     rng = random.Random(0x0BF0)
     tap = _LogTap()
     root = logging.getLogger("streamgate")
@@ -203,11 +233,12 @@ def test_criterion_4_secret_opacity():
             tap_conn.disconnect()
             # A subscriber's own log lines, "subscribed to" among them.
             subscribe_and_collect("127.0.0.1", broker.port, "camera/#", duration_s=0.1)
+        cli_errors = _cli_key_file_errors(rng, tmp_path, secrets)
     finally:
         root.removeHandler(tap)
         root.setLevel(old_level)
 
-    log_text = "\n".join(tap.lines)
+    log_text = "\n".join(tap.lines + cli_errors)
     log_bytes = log_text.encode()
     occurrences = 0
     for secret in secrets:
@@ -221,13 +252,19 @@ def test_criterion_4_secret_opacity():
             ):
                 occurrences += 1
     subscribed = any(line.endswith("subscribed to camera/#") for line in tap.lines)
-    ok = occurrences == 0 and len(secrets) >= 112 and collected == 36 and subscribed
+    ok = (
+        occurrences == 0
+        and len(secrets) >= 117
+        and collected == 36
+        and subscribed
+        and len(cli_errors) == 5
+    )
     report(
         4,
         "secret opacity",
         ok,
         f"{len(secrets)} sessions, {collected} payloads, {len(tap.lines)} log lines, "
-        f"{occurrences} secret windows observed",
+        f"{len(cli_errors)} CLI error lines, {occurrences} secret windows observed",
     )
 
 

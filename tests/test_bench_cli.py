@@ -13,9 +13,9 @@ import pytest
 
 from streamgate import bench, cli, pipeline
 from streamgate.broker import Broker
-from streamgate.client import MqttConnection
+from streamgate.client import ClientError, MqttConnection
 from streamgate.driver import run_attempt_suite
-from streamgate.enclave import AuthEnclave
+from streamgate.enclave import AuthEnclave, LatencyModel
 from streamgate.subscriber import subscribe_and_collect
 
 SECRET_HEX = "8d969eef6ecad3c29a3a629280e686cf0c3f5d5a86aff3ca12020c923adc6cb2"
@@ -73,7 +73,8 @@ def test_suite_replication_many_seeds():
 
 def test_latency_pipelined(monkeypatch):
     monkeypatch.setattr(bench, "LATENCY_SAMPLES", 100)
-    result = bench.measure_latency("pipelined")
+    result = bench.measure_latency(LatencyModel.pipelined())
+    assert result.mode == "pipelined"
     assert result.cycles == 34
     assert result.elapsed_ns == 340
     assert result.cycle_variance == 0.0
@@ -81,17 +82,11 @@ def test_latency_pipelined(monkeypatch):
 
 def test_latency_unpipelined(monkeypatch):
     monkeypatch.setattr(bench, "LATENCY_SAMPLES", 100)
-    result = bench.measure_latency("unpipelined")
+    result = bench.measure_latency(LatencyModel.unpipelined())
+    assert result.mode == "unpipelined"
     assert result.cycles == 64
     assert result.elapsed_ns == 640
     assert result.cycle_variance == 0.0
-
-
-@pytest.mark.parametrize("mode", ["Pipelined", "fast"])
-def test_latency_rejects_unknown_mode(mode):
-    # Anything but "pipelined" would otherwise measure the 64-cycle core.
-    with pytest.raises(ValueError, match="mode"):
-        bench.measure_latency(mode)
 
 
 # -- loopback and report ---------------------------------------------------------
@@ -110,6 +105,19 @@ def test_loopback_run_small(small_frames):
     assert run.hashes_match
     assert run.indices_increasing
     assert run.within_tolerance
+
+
+def test_loopback_raises_the_subscribers_own_error_at_once(small_frames, monkeypatch):
+    # It waited 5 s for a subscriber that had already failed, then said
+    # only that it did not register in time.
+    def refused(*args, **kwargs):
+        raise ClientError("broker refused connection: return code 5")
+
+    monkeypatch.setattr(bench.subscriber, "subscribe_and_collect", refused)
+    start = time.monotonic()
+    with pytest.raises(ClientError, match="return code 5"):
+        bench.run_loopback(25.0, 20, seed=5)
+    assert time.monotonic() - start < 1.0
 
 
 def test_bench_report_deterministic_fields(monkeypatch):
@@ -491,6 +499,18 @@ def _not_utf8(workdir):
     return path
 
 
+def _not_hex(workdir):
+    path = workdir / "not-hex.txt"
+    path.write_text("zz\n")
+    return path
+
+
+def _bad_client_id(workdir):
+    path = workdir / "bad-client-id.cfg"
+    path.write_text("mqtt.client_id = a\x00b\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "flag, make",
     [
@@ -499,6 +519,9 @@ def _not_utf8(workdir):
         ("--provision", _not_utf8),
         ("--config", _not_utf8),
         ("--credentials", _not_utf8),
+        ("--provision", _not_hex),
+        ("--credentials", _not_hex),
+        ("--config", _bad_client_id),
     ],
     ids=[
         "provision-is-a-directory",
@@ -506,6 +529,9 @@ def _not_utf8(workdir):
         "provision-not-utf8",
         "config-not-utf8",
         "credentials-not-utf8",
+        "provision-not-hex",
+        "credentials-not-hex",
+        "config-bad-client-id",
     ],
 )
 def test_cmd_auth_unreadable_file_is_bad_input(workdir, capsys, flag, make):
@@ -517,7 +543,10 @@ def test_cmd_auth_unreadable_file_is_bad_input(workdir, capsys, flag, make):
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert_one_error_line(code, err)
-    assert str(files[flag]) in err  # a file that was not UTF-8 went unnamed
+    # A bad provisioning and a bad credentials file printed the same
+    # "error: line 1: non-hex character in key"; now the line says which.
+    [line] = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert line.startswith(f"error: {files[flag]}: ")
 
 
 @pytest.mark.parametrize("command", ["auth", "stream"])

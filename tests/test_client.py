@@ -53,12 +53,12 @@ def test_publish_larger_than_send_buffer_arrives_intact(monkeypatch):
         monkeypatch.setattr(socket.socket, "sendall", spy_sendall)
         conn.publish("big", payload)
         monkeypatch.undo()
-        conn.close()
+        conn.disconnect()
         server.join(timeout=10.0)
     finally:
         listener.close()
     assert finished, "sendmsg took the whole packet; the partial path did not run"
-    assert bytes(received) == expected
+    assert bytes(received) == expected + mqtt.encode_packet(mqtt.Disconnect())
 
 
 # -- the pipelined handshake ----------------------------------------------------------
@@ -253,7 +253,7 @@ def test_disconnect_waits_for_the_connack_before_its_disconnect():
     assert after == [mqtt.Disconnect()]
 
 
-@pytest.mark.parametrize("call", ["recv_packet", "subscribe", "disconnect", "close"])
+@pytest.mark.parametrize("call", ["recv_packet", "subscribe", "disconnect"])
 def test_every_reading_call_reports_a_refusal(call):
     def script(peer):
         peer.read(1)
@@ -282,7 +282,7 @@ def test_close_without_a_connack_gives_up_after_the_connect_timeout(monkeypatch)
     conn.connect()
     start = time.monotonic()
     with pytest.raises(ClientError, match="no CONNACK"):
-        conn.close()
+        conn.disconnect()
     assert 0.25 <= time.monotonic() - start <= 2.0
     with pytest.raises(ClientError, match="not connected"):
         conn.publish("t", b"x")
@@ -303,8 +303,8 @@ def test_subscribe_without_a_suback_gives_up_after_the_connect_timeout(monkeypat
     with pytest.raises(ClientError, match=r"no SUBACK within 0\.3 s"):
         conn.subscribe("cam/#")
     assert 0.25 <= time.monotonic() - start <= 2.0
-    conn.close()
-    assert result() == []
+    conn.disconnect()
+    assert result() == [mqtt.Disconnect()]
 
 
 @pytest.mark.parametrize(
@@ -329,7 +329,7 @@ def test_each_subscribe_refusal_raises_client_error(monkeypatch, answer, refusal
     conn.connect()
     with pytest.raises(ClientError, match=re.escape(refusal)):
         conn.subscribe("cam/#")
-    conn.close()
+    conn.disconnect()
     result()
 
 
@@ -397,7 +397,7 @@ def test_recv_timeout_bounds_the_whole_call_not_each_read():
     with pytest.raises(TimeoutError):
         conn.recv_packet(timeout=0.3)
     assert time.monotonic() - start < 0.6
-    conn.close()
+    conn.disconnect()
     result()
 
 
@@ -414,7 +414,7 @@ def test_a_timed_out_packet_is_returned_whole_by_a_later_call():
             timeouts += 1
     assert packet == mqtt.decode_packet(TRICKLED)[0]
     assert timeouts >= 5  # the packet took about 4.5 s
-    conn.close()
+    conn.disconnect()
     result()
 
 
@@ -479,7 +479,7 @@ def test_recv_timeout_zero_takes_a_packet_already_in_and_never_waits():
     with pytest.raises(TimeoutError):
         conn.recv_packet(timeout=0)
     assert time.monotonic() - start < 0.05
-    conn.close()
+    conn.disconnect()
     result()
 
 
@@ -512,5 +512,5 @@ def test_a_send_to_a_peer_that_never_reads_gives_up_after_the_connect_timeout(
         assert 0.25 <= time.monotonic() - start < 0.8
     finally:
         done.set()
-        conn.close()
+        conn.disconnect()
     result()

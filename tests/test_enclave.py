@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import types
 
 import pytest
@@ -91,6 +92,19 @@ def test_start_clears_idle_and_done():
     assert not word & CTRL_DONE_BIT
 
 
+def test_repr_names_the_handshake_state():
+    enclave = AuthEnclave(SECRET)
+    states = [repr(enclave)]
+    start(enclave)
+    states.append(repr(enclave))
+    enclave.step(enclave.model.latency_cycles)
+    states.append(repr(enclave))
+    enclave.read_word(RESULT_OFFSET)
+    states.append(repr(enclave))
+    names = [re.search(r"state='(\w+)'", text).group(1) for text in states]
+    assert names == ["idle", "busy", "done", "idle"]
+
+
 def test_result_register_is_read_only():
     enclave = AuthEnclave(SECRET)
     with pytest.raises(BusError):
@@ -165,8 +179,7 @@ def test_step_zero_changes_nothing():
         return (
             enclave.cycle_counter,
             enclave.busy_until,
-            enclave.idle,
-            enclave.done,
+            enclave.read_word(CTRL_OFFSET),  # the DONE and IDLE bits
             enclave.elapsed_ns(),
         )
 

@@ -56,6 +56,8 @@ def test_remaining_length_round_trip_sampled():
     # Exhaustive 0..1,000,000 runs in the acceptance suite.
     rng = random.Random(99)
     values = list(range(0, 4097)) + [rng.randrange(0, 268_435_456) for _ in range(5000)]
+    # The last value of each encoded length, and the first of the next.
+    values += [127, 128, 16_383, 16_384, 2_097_151, 2_097_152, mqtt.MAX_REMAINING_LENGTH]
     for value in values:
         encoded = mqtt.encode_remaining_length(value)
         assert mqtt.decode_remaining_length(encoded) == (value, len(encoded))
@@ -385,6 +387,14 @@ def test_publish_header_rejects_wildcard_topic():
         mqtt.publish_header("a/#", 0)
 
 
+def test_publish_header_rejects_a_packet_over_the_protocol_cap():
+    # "t" takes 3 bytes of the remaining length: its 2-byte length and itself.
+    widest = mqtt.publish_header("t", mqtt.MAX_REMAINING_LENGTH - 3, retain=True)
+    assert widest == b"\x31\xff\xff\xff\x7f\x00\x01t"
+    with pytest.raises(mqtt.EncodeError):
+        mqtt.publish_header("t", mqtt.MAX_REMAINING_LENGTH - 2)
+
+
 @pytest.mark.parametrize("first", [0x00, 0x40, 0x50, 0x60, 0x70, 0xF0, 0xFF])
 def test_unknown_type_rejected_from_first_byte(first):
     # No need to wait for a body the declared length says is 256 MiB.
@@ -484,8 +494,10 @@ class _Chunks:
 
     def __init__(self, chunks):
         self._chunks = list(chunks)
+        self.sizes = []  # the length of each buffer handed to recv_into
 
     def recv_into(self, buffer):
+        self.sizes.append(len(buffer))
         if not self._chunks:
             return 0
         chunk = self._chunks.pop(0)
@@ -494,6 +506,15 @@ class _Chunks:
         if taken < len(chunk):
             self._chunks.insert(0, chunk[taken:])
         return taken
+
+
+def _drain(reader, sock):
+    """Every packet ``reader`` frames from ``sock`` until its end of input."""
+    received = []
+    while reader.recv(sock):
+        while (packet := reader.next(mqtt.MAX_PACKET_LENGTH)) is not None:
+            received.append(packet)
+    return received
 
 
 # Large publishes make the reader's buffer grow past its first 64 KiB.
@@ -512,12 +533,29 @@ def test_property_packet_reader_yields_the_packets_however_the_stream_is_cut(pac
     points = sorted({int(cut * len(stream)) for cut in cuts} | {0, len(stream)})
     sock = _Chunks(stream[start:end] for start, end in zip(points, points[1:]))
     reader = mqtt.PacketReader()
-    received = []
-    while reader.recv(sock):
-        while (packet := reader.next(mqtt.MAX_PACKET_LENGTH)) is not None:
-            received.append(packet)
-    assert received == packets
+    assert _drain(reader, sock) == packets
     assert not reader.pending
+
+
+# 24 back-to-back 1080p frames, 86,412 bytes of base64 each, all waiting at once.
+_FRAMES = [mqtt.Publish("camera/stream", bytes([i]) * 86_412) for i in range(24)]
+
+
+def test_packet_reader_grows_its_own_buffer_while_reads_fill_it():
+    # A buffer that stays at 64 KiB takes 32 reads here, and cut frames-window8's
+    # delivered frame rate by about a tenth.
+    sock = _Chunks([b"".join(map(mqtt.encode_packet, _FRAMES))])
+    assert _drain(mqtt.PacketReader(), sock) == _FRAMES
+    assert len(sock.sizes) - 1 <= 8  # the last read finds the end of input
+    assert max(sock.sizes) <= 1 << 20  # bounded growth
+
+
+def test_packet_reader_never_grows_a_shared_buffer():
+    shared = bytearray(64 * 1024)
+    sock = _Chunks([b"".join(map(mqtt.encode_packet, _FRAMES))])
+    assert _drain(mqtt.PacketReader(shared), sock) == _FRAMES
+    assert set(sock.sizes) == {64 * 1024}
+    assert len(shared) == 64 * 1024
 
 
 @settings(max_examples=300, deadline=None)
