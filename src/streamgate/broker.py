@@ -96,9 +96,16 @@ class SubscriptionTable:
             self.remove(topic_filter, session)
 
     def sessions_for(self, topic: str) -> Set["_Session"]:
-        """All sessions with at least one matching filter, deduplicated."""
+        """All sessions with at least one matching filter, deduplicated.
+
+        A filter that starts with a wildcard matches no topic that starts
+        with ``$`` (MQTT-4.7.2-1).
+        """
+        reserved = topic.startswith("$")
         matched: Set["_Session"] = set()
         for topic_filter, sessions in self._filters.items():
+            if reserved and topic_filter[0] in "#+":
+                continue
             if mqtt.topic_matches(topic_filter, topic):
                 matched.update(sessions)
         return matched
@@ -330,6 +337,9 @@ class Broker:
     def _register(self, session: _Session, packet: mqtt.Connect) -> None:
         if not packet.client_id:
             log.warning("rejecting connect with empty client id from %s", session.address)
+            # MQTT-3.1.3-9: CONNACK 0x02, identifier rejected, then close.
+            self._enqueue(session, mqtt.encode_packet(mqtt.Connack(return_code=2)))
+            self._flush(session)
             self._close(session, "connect rejected")
             return
         superseded = self._sessions.get(packet.client_id)

@@ -9,9 +9,7 @@ all it gets is handshake bits and the final boolean.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from dataclasses import dataclass
 
 from .enclave import (
     CTRL_DONE_BIT,
@@ -25,16 +23,7 @@ from .enclave import (
     key_bytes_to_words,
 )
 
-__all__ = [
-    "AttemptSummary",
-    "AuthVerdict",
-    "DriverFault",
-    "SUITE_LABELS",
-    "authenticate",
-    "run_attempt_suite",
-]
-
-SUITE_LABELS = ("correct", "invalid", "incomplete", "empty", "wrong")
+__all__ = ["AuthVerdict", "DriverFault", "authenticate"]
 
 
 class DriverFault(Exception):
@@ -54,19 +43,6 @@ class AuthVerdict:
     cycles: int
     elapsed_ns: int
     words_written: int
-
-
-@dataclass
-class AttemptSummary:
-    """Tally of an attempt suite: totals plus per-label attempt counts."""
-
-    successes: int = 0
-    failures: int = 0
-    label_counts: Counter = field(default_factory=Counter)
-
-    @property
-    def attempts(self) -> int:
-        return self.successes + self.failures
 
 
 def _candidate_bytes(candidate) -> bytes:
@@ -105,24 +81,3 @@ def authenticate(enclave: AuthEnclave, candidate) -> AuthVerdict:
         words_written=len(words),
     )
 
-
-def run_attempt_suite(
-    enclave: AuthEnclave,
-    suite: Iterable[Tuple[str, bytes]],
-) -> AttemptSummary:
-    """Execute a sequence of (label, candidate) attempts and tally them.
-
-    Labels must come from ``SUITE_LABELS``; the label carries no
-    behavior, it only names the row the attempt is counted under.
-    """
-    summary = AttemptSummary()
-    for label, candidate in suite:
-        if label not in SUITE_LABELS:
-            raise ValueError(f"unknown suite label: {label!r}")
-        verdict = authenticate(enclave, candidate)
-        summary.label_counts[label] += 1
-        if verdict.authorized:
-            summary.successes += 1
-        else:
-            summary.failures += 1
-    return summary

@@ -262,10 +262,6 @@ class AuthEnclave:
             self.busy_until = None
             self._done = True
 
-    def elapsed_ns(self) -> int:
-        """Wall time of the modeled clock: cycles times the 10 ns period."""
-        return self.cycle_counter * self.model.CLOCK_PERIOD_NS
-
     def __repr__(self) -> str:
         state = "busy" if self.busy_until is not None else ("done" if self._done else "idle")
         return (

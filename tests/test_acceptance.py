@@ -50,19 +50,20 @@ def test_criterion_1_attempt_table_replication():
     rng = random.Random(2023)
     secret = bench.generate_secret(rng)
     enclave = AuthEnclave(secret)
-    summary = driver.run_attempt_suite(enclave, bench.generate_suite(secret, rng))
+    suite = bench.generate_suite(secret, rng)
+    label_counts, successes, failures = bench.tally_suite(enclave, suite)
     elapsed = time.monotonic() - start
     ok = (
-        summary.successes == 10
-        and summary.failures == 22
-        and dict(summary.label_counts) == bench.TABLE_SUITE_COUNTS
+        successes == 10
+        and failures == 22
+        and label_counts == bench.TABLE_SUITE_COUNTS
         and elapsed < 1.0
     )
     report(
         1,
         "attempt table",
         ok,
-        f"{summary.successes} successes / {summary.failures} failures in {elapsed:.3f}s",
+        f"{successes} successes / {failures} failures in {elapsed:.3f}s",
     )
 
 

@@ -15,7 +15,7 @@ import streamgate
 from streamgate import broker as broker_module
 from streamgate import mqtt
 from streamgate.broker import Broker, SubscriptionTable
-from streamgate.client import MqttConnection
+from streamgate.client import ClientError, MqttConnection
 from streamgate.pipeline import SyntheticFrameSource
 
 
@@ -68,11 +68,21 @@ def test_malformed_bytes_close_connection(broker):
 
 
 def test_empty_client_id_rejected(broker):
+    # MQTT-3.1.3-9: CONNACK 0x02, identifier rejected, then the close.
     sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
     sock.sendall(mqtt.encode_packet(mqtt.Connect(client_id="")))
     sock.settimeout(2.0)
-    assert sock.recv(64) == b""
+    received = b""
+    while chunk := sock.recv(64):
+        received += chunk
+    assert received == bytes([0x20, 0x02, 0x00, 0x02])
     sock.close()
+
+
+def test_client_with_an_empty_client_id_is_told_identifier_rejected(broker):
+    conn = connect(broker, "")
+    with pytest.raises(ClientError, match="return code 2"):
+        conn.recv_packet(timeout=2.0)
 
 
 def test_duplicate_client_id_supersedes_first(broker):
@@ -86,6 +96,22 @@ def test_duplicate_client_id_supersedes_first(broker):
 
 
 # -- subscribing and routing ----------------------------------------------------
+
+
+def test_a_hash_subscriber_gets_no_reserved_topic(broker):
+    # MQTT-4.7.2-1: "#" takes "a/b" but not "$SYS/x", which "$SYS/#" takes.
+    everything = connect(broker, "everything")
+    everything.subscribe("#")
+    reserved = connect(broker, "reserved")
+    reserved.subscribe("$SYS/#")
+    pub = connect(broker, "pub")
+    pub.publish("$SYS/x", b"reserved")
+    pub.publish("a/b", b"plain")
+    # One publisher's messages arrive in order, so "a/b" first means no "$SYS/x".
+    assert everything.recv_packet(timeout=2.0) == mqtt.Publish(topic="a/b", payload=b"plain")
+    assert reserved.recv_packet(timeout=2.0) == mqtt.Publish(topic="$SYS/x", payload=b"reserved")
+    for conn in (pub, everything, reserved):
+        conn.disconnect()
 
 
 def test_single_subscriber_receives_publish(broker):
@@ -400,6 +426,16 @@ def test_table_remove_drops_one_subscription():
     assert table.sessions_for("b") == {s1}
     table.remove("b", s1)
     assert table.filter_count() == 1
+
+
+def test_table_keeps_reserved_topics_from_wildcard_led_filters():
+    # MQTT-4.7.2-1: "#" and "+/x" do not match "$SYS/x"; "$SYS/#" and "$SYS/+" do.
+    table = SubscriptionTable()
+    hash_, plus, sys_hash, sys_plus = (FakeSession(n) for n in ("#", "+/x", "$SYS/#", "$SYS/+"))
+    for session in (hash_, plus, sys_hash, sys_plus):
+        table.add(session.name, session)
+    assert table.sessions_for("$SYS/x") == {sys_hash, sys_plus}
+    assert table.sessions_for("a/x") == {hash_, plus}
 
 
 def test_table_discard_leaves_no_dangling_refs():

